@@ -1,0 +1,8 @@
+"""Self-tests of the benchmark: ``python3 -m pytest perfbench/tests``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parents[1] / "src"))
