@@ -12,11 +12,10 @@
 * :mod:`repro.core.instruments` — probes for ops, accesses, and work;
 * :mod:`repro.core.soundness` — dependence-order verification and the
   Section 3.3 outer-parallel criterion;
-* :mod:`repro.core.iterative` — explicit-stack executors for deep
-  spaces;
 * :mod:`repro.core.batched` — frontier-batched explicit-stack
   executors dispatching vectorized leaf-work blocks, bit-identical to
-  the recursive executors;
+  the recursive executors (and the route for spaces too deep to
+  recurse);
 * :mod:`repro.core.soa_exec` — index-based executors over packed
   structure-of-arrays tree views (:mod:`repro.spaces.soa`), with an
   inline dispatch mode for stateful-truncation specs;
@@ -58,12 +57,6 @@ from repro.core.instruments import (
     combine,
 )
 from repro.core.interchange import run_interchanged
-from repro.core.iterative import (
-    iter_original_points,
-    run_interchanged_iterative,
-    run_original_iterative,
-)
-from repro.core.iterative_twist import run_twisted_iterative
 from repro.core.multilevel import (
     MultiLevelInstrument,
     MultiLevelSpec,
@@ -193,17 +186,14 @@ __all__ = [
     "get_schedule",
     "is_outer_parallel",
     "outer_parallel_violations",
-    "iter_original_points",
     "make_policy",
     "recursion_guard",
     "required_limit",
     "run_interchanged",
     "run_interchanged_batched",
-    "run_interchanged_iterative",
     "run_interchanged_soa",
     "run_original",
     "run_original_batched",
-    "run_original_iterative",
     "run_original_n",
     "run_original_soa",
     "run_parallel",
@@ -212,7 +202,6 @@ __all__ = [
     "run_task_parallel",
     "run_twisted_n",
     "run_twisted",
-    "run_twisted_iterative",
     "spawn_tasks",
     "task_spec",
     "twist_with_cutoff",

@@ -171,11 +171,11 @@ def conformance_verdicts(spec: NestedRecursionSpec) -> Optional[dict]:
     |"unsafe"}`` via :func:`repro.transform.lint.backend.lint_spec`
     (memoized on the kernels' code objects, so this is cheap after the
     first call per spec family), or ``None`` when the analyzer itself
-    fails — selection then proceeds on structural evidence alone, and
-    the failure is *recorded*: a one-shot :class:`RuntimeWarning` plus
-    a ``"conformance_error"`` entry in the returned
-    :class:`BackendChoice`'s features (silent-``None`` analyzer crashes
-    used to make evidence-free selection invisible).
+    fails.  The failure is *recorded*: a one-shot
+    :class:`RuntimeWarning`, and :func:`_refuse_unproven` puts a
+    ``"conformance_error"`` entry in the returned
+    :class:`BackendChoice`'s features while refusing the unproven
+    vectorized pick in favour of the reference executors.
     """
     global _LAST_CONFORMANCE_ERROR, _CONFORMANCE_WARNED
     _LAST_CONFORMANCE_ERROR = None
@@ -189,8 +189,8 @@ def conformance_verdicts(spec: NestedRecursionSpec) -> Optional[dict]:
             _CONFORMANCE_WARNED = True
             warnings.warn(
                 "backend-conformance analyzer failed "
-                f"({_LAST_CONFORMANCE_ERROR}); backend selection "
-                "proceeds on structural evidence alone",
+                f"({_LAST_CONFORMANCE_ERROR}); unproven vectorized "
+                "backends are refused in favour of the recursive executors",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -240,13 +240,23 @@ def _refuse_unproven(
     proven safe, else to the reference executors.  Either downgrade
     records the analyzer's *full* diagnostic code list as evidence —
     citing only the triggering verdict used to hide the sibling
-    findings a caller would need to discharge the refusal.
+    findings a caller would need to discharge the refusal.  An
+    analyzer crash proves nothing, so it refuses too: the reference
+    executors run, and the error lands in ``features``.
     """
     verdicts = conformance_verdicts(spec)
     if verdicts is None:
-        if _LAST_CONFORMANCE_ERROR is not None:
-            choice.features["conformance_error"] = _LAST_CONFORMANCE_ERROR
-        return choice
+        error = _LAST_CONFORMANCE_ERROR or "no verdicts"
+        choice.features["conformance_error"] = error
+        return BackendChoice(
+            "recursive",
+            f"conformance: analyzer failed ({error}); {choice.backend!r} is "
+            f"unproven, falling back to the reference executors "
+            f"(structural pick was: {choice.reason})",
+            choice.features,
+            order=choice.order,
+            evidence=choice.evidence,
+        )
     # The compiled backend executes the same work_batch_soa kernel the
     # SoA engine dispatches, so it stands or falls with the soa verdict.
     verdict_key = "soa" if choice.backend == "compiled" else choice.backend
@@ -351,9 +361,9 @@ def _choice_cache_key(
     spec: NestedRecursionSpec, schedule_name: str, allow_unproven: bool
 ) -> Optional[tuple]:
     try:
-        from repro.transform.lint.backend import _spec_cache_key
+        from repro.transform.lint.kernel_ir import spec_cache_key
 
-        kernel_key = _spec_cache_key(spec)
+        kernel_key = spec_cache_key(spec)
     except Exception:  # un-keyable spec: selection just runs uncached
         return None
     return (

@@ -119,9 +119,9 @@ def compiled_artifact(spec: NestedRecursionSpec) -> Optional[FusedKernel]:
     traversal, still one dispatch).  Artifacts bind per call, so one
     cache entry serves every fresh spec the same benchmark produces.
     """
-    from repro.transform.lint.backend import _spec_cache_key
+    from repro.transform.lint.kernel_ir import spec_cache_key
 
-    key = _spec_cache_key(spec)
+    key = spec_cache_key(spec)
     cached = _ARTIFACTS.get(key, _NO_ARTIFACT)
     if cached is not _NO_ARTIFACT:
         return cached

@@ -16,17 +16,20 @@ closes the gap with a static verdict decided from the code itself:
 * :mod:`~repro.transform.lint.diagnostics` and
   :mod:`~repro.transform.lint.report` carry the findings as stable
   ``TW0xx`` diagnostics folded into a per-pair verdict;
+* :mod:`~repro.transform.lint.kernel_ir` lifts a spec's live kernels
+  into one IR, extracted once per kernel family and read by every
+  spec-level pass below;
 * :mod:`~repro.transform.lint.backend` extends the analysis to the
   spec/kernel layer (``TW1xx``): it proves — or refuses to prove —
   that a spec's vectorized ``work_batch``/``work_batch_soa``/
   ``truncate_inner2_batch`` kernels conform to their scalar
   counterparts, gating which executors ``backend="auto"`` may pick;
-* :mod:`~repro.transform.lint.kernel_ir` and
-  :mod:`~repro.transform.lint.lower` lift the kernels into a typed IR
-  and certify them (``TW2xx``): *lowerability* for the fused/compiled
-  backend and *static outer-task independence* for the parallel one —
-  the static proof that lets ``check_outer_independence`` skip its
-  dynamic warm-up probe.
+* :mod:`~repro.transform.lint.lower` certifies the kernels (``TW2xx``):
+  *lowerability* for the fused/compiled backend and *static outer-task
+  independence* for the parallel one — the static proof that lets
+  ``check_outer_independence`` skip its dynamic warm-up probe;
+* :mod:`~repro.transform.lint.locality` judges the transformations'
+  profitability against a cache model (``TW30x``).
 
 Two in-source pragmas steer the analysis::
 
@@ -68,13 +71,15 @@ from repro.transform.lint.purity import (
     check_guard_purity,
 )
 from repro.transform.lint.backend import (
-    KernelFootprint,
     SpecConformanceReport,
     SpecVerdict,
-    analyze_kernel,
     lint_spec,
 )
-from repro.transform.lint.kernel_ir import KernelIR, extract_kernel_ir
+from repro.transform.lint.kernel_ir import (
+    KernelIR,
+    extract_kernel_ir,
+    spec_kernel_irs,
+)
 from repro.transform.lint.locality import (
     LocalityReport,
     LocalityVerdict,
@@ -99,7 +104,6 @@ __all__ = [
     "DiagnosticSink",
     "FootprintAnalyzer",
     "IndependenceVerdict",
-    "KernelFootprint",
     "KernelIR",
     "LintReport",
     "LocalityReport",
@@ -112,7 +116,6 @@ __all__ = [
     "SpecVerdict",
     "Verdict",
     "WorkFootprint",
-    "analyze_kernel",
     "analyze_work",
     "check_adaptive_truncation",
     "check_child_purity",
@@ -121,6 +124,7 @@ __all__ = [
     "collect_pragmas",
     "derive_verdict",
     "extract_kernel_ir",
+    "spec_kernel_irs",
     "lint_locality",
     "lint_lower",
     "lint_source",

@@ -12,9 +12,10 @@ ran on each pair in order"), and both the batched engine and
 function objects of a :class:`~repro.core.spec.NestedRecursionSpec`:
 
 * **write/read sets** — the state locations each kernel writes and the
-  node fields it reads are inferred by walking its AST (resolving
-  names through closures, globals and bound methods, recursing into
-  helpers defined in this package) and compared across scalar/batch
+  node fields it reads come from the shared kernel IR
+  (:mod:`repro.transform.lint.kernel_ir`, keyed by live-object
+  identity, so ``acc`` in ``work`` and ``self`` in a bound method of
+  the same object compare equal) and are compared across scalar/batch
   forms (TW101/TW102);
 * **purity & order-independence** — no cross-dispatch state capture
   (TW103), no mutation or retention of the dispatcher's block
@@ -43,79 +44,31 @@ kernels themselves and says exactly what it could not prove.
 
 from __future__ import annotations
 
-import ast
 import enum
-import importlib
-import inspect
 import json
-import textwrap
-import types
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.spec import NestedRecursionSpec
 from repro.transform.lint.diagnostics import DiagnosticSink, Severity
-from repro.transform.lint.footprints import (
-    FRESH_CONSTRUCTORS,
-    KNOWN_MUTATING_METHODS,
-    KNOWN_PURE_METHODS,
-    PURE_BUILTINS,
-    PURE_MODULES,
+from repro.transform.lint.kernel_ir import (
+    CELL_ROOT,
+    NODE_ROOT,
+    OPAQUE_ROOT,
+    KernelIR,
+    clear_ir_cache,
+    spec_cache_key,
+    spec_kernel_irs,
 )
 
 #: Schema version shared with :class:`~repro.transform.lint.report.LintReport`.
 SCHEMA_VERSION = 2
-
-#: Array/query methods assumed pure on *any* receiver.  Extends the
-#: footprint analyzer's query set with the ndarray surface the batch
-#: kernels use, plus the two staging accessors whose receivers are
-#: values of staged helpers (``LeafBlocks.rows``, ``SoATree.column``).
-PURE_VALUE_METHODS = KNOWN_PURE_METHODS | frozenset(
-    {
-        "all",
-        "any",
-        "argmax",
-        "argmin",
-        "argsort",
-        "astype",
-        "column",
-        "item",
-        "max",
-        "max_dist",
-        "mean",
-        "min",
-        "min_dist",
-        "nonzero",
-        "ravel",
-        "reshape",
-        "rows",
-        "sum",
-        "take",
-        "tobytes",
-    }
-)
-
-#: Maximum helper-recursion depth before giving up with TW110.
-MAX_DEPTH = 10
 
 #: Kernel roles whose findings gate a *vectorized* backend (TW103/104/
 #: 110 only fire here; the scalar kernel is the reference semantics).
 BATCH_ROLES = frozenset(
     {"work_batch", "work_batch_soa", "truncate_inner2_batch"}
 )
-
-# Value kinds tracked per local name (plain tuples, hashable).
-_NODE = ("node",)
-_NODE_SEQ = ("node_seq",)
-_VIEW = ("view",)
-_DATA = ("data",)
-_FRESH = ("fresh",)
-
-#: Root key for writes/reads on the traversal's node objects.
-NODE_ROOT = "<node>"
-
-#: Commutative-reduction augmented ops (order-independent updates).
-_REDUCTION_OPS = (ast.Add, ast.Sub, ast.Mult, ast.BitOr, ast.BitAnd, ast.BitXor)
 
 
 class SpecVerdict(enum.Enum):
@@ -130,849 +83,82 @@ class SpecVerdict(enum.Enum):
         return self.value
 
 
-@dataclass
-class WriteRecord:
-    """Everything observed about writes to one (root, field) location."""
-
-    label: str
-    #: every write was an augmented commutative reduction (+=, |=, ...)
-    reduction_only: bool = True
-    #: every write sat inside a for/while loop (per-pair replay)
-    in_loop_only: bool = True
-
-
-@dataclass
-class KernelFootprint:
-    """Inferred effect summary of one kernel function."""
-
-    role: str
-    name: str = "<kernel>"
-    analyzable: bool = True
-    #: (root key, field) -> write evidence
-    writes: dict = field(default_factory=dict)
-    #: (root key, field) state locations read outside staging calls
-    state_reads: set = field(default_factory=set)
-    #: state locations read only as arguments to staged helpers
-    staged_state_reads: set = field(default_factory=set)
-    #: node attribute names read from traversal nodes (or SoA columns)
-    node_reads: set = field(default_factory=set)
-    #: names of ``__conformance_staged__`` helpers called
-    staged_helpers: set = field(default_factory=set)
-
-    def write_keys(self) -> set:
-        """The ``(state_root, field)`` keys this kernel writes."""
-        return set(self.writes)
-
-    def to_json(self) -> dict:
-        """JSON-ready dict for the conformance report's ``kernels``."""
-        return {
-            "role": self.role,
-            "name": self.name,
-            "analyzable": self.analyzable,
-            "writes": sorted(
-                record.label for record in self.writes.values()
-            ),
-            "node_reads": sorted(self.node_reads),
-            "staged_helpers": sorted(self.staged_helpers),
-        }
-
-
 class _Span:
-    """Line/col carrier for diagnostics pinned into the kernel's file."""
+    """Line carrier for diagnostics pinned into the kernel's file."""
 
     __slots__ = ("lineno", "col_offset")
 
-    def __init__(self, lineno: int, col_offset: int) -> None:
+    def __init__(self, lineno: int) -> None:
         self.lineno = lineno
-        self.col_offset = col_offset
+        self.col_offset = 0
 
 
-class _KernelAnalyzer(ast.NodeVisitor):
-    """AST walker inferring one kernel's :class:`KernelFootprint`.
-
-    Works on the live function object: free variables resolve through
-    ``__closure__``, then ``__globals__``; bound methods recurse with
-    ``self`` mapped onto the receiver's state root, so ``base_case``
-    and ``base_case_batch`` on one rules instance share root labels.
-    """
-
-    def __init__(
-        self,
-        fn,
-        kinds: dict,
-        footprint: KernelFootprint,
-        sink: DiagnosticSink,
-        labels: dict,
-        memo: set,
-        depth: int = 0,
-        line_offset: int = 0,
-    ) -> None:
-        self.fn = fn
-        self.kinds = dict(kinds)
-        self.footprint = footprint
-        self.sink = sink
-        self.labels = labels
-        self.memo = memo
-        self.depth = depth
-        self.line_offset = line_offset
-        self.loop_depth = 0
-        self.cell_names: set[str] = set()
-        self._staged_ctx = False
-        self._is_batch = footprint.role in BATCH_ROLES
-
-    # -- plumbing ----------------------------------------------------
-
-    def _span(self, node: ast.AST) -> _Span:
-        return _Span(
-            getattr(node, "lineno", 0) + self.line_offset,
-            getattr(node, "col_offset", 0),
-        )
-
-    def _emit(self, code: str, message: str, node: ast.AST, hint=None) -> None:
-        qualname = getattr(self.fn, "__qualname__", "<kernel>")
-        self.sink.emit(
-            code,
-            f"{self.footprint.role}: {message} (in {qualname})",
-            self._span(node),
-            hint=hint,
-        )
-
-    def _state_root(self, obj, name: str) -> tuple:
-        key = id(obj)
-        _LIVE_OBJECTS[key] = obj
-        self.labels.setdefault(key, name)
-        return ("state", key, self.labels[key])
-
-    def _external_kind(self, obj, name: str) -> tuple:
-        if isinstance(obj, types.ModuleType):
-            return ("module", obj, name)
-        if isinstance(
-            obj, (types.FunctionType, types.MethodType, types.BuiltinFunctionType)
-        ) or isinstance(obj, type):
-            return ("callable", obj, name)
-        return self._state_root(obj, name)
-
-    def resolve_name(self, name: str) -> Optional[tuple]:
-        """Kind of a bare name: locals, then closure, then globals."""
-        if name in self.kinds:
-            return self.kinds[name]
-        code = self.fn.__code__
-        closure = self.fn.__closure__ or ()
-        for var, cell in zip(code.co_freevars, closure):
-            if var == name:
-                try:
-                    return self._external_kind(cell.cell_contents, name)
-                except ValueError:  # pragma: no cover - empty cell
-                    return None
-        if name in self.fn.__globals__:
-            return self._external_kind(self.fn.__globals__[name], name)
-        return None
-
-    def _kind_of(self, node: ast.AST) -> tuple:
-        """Shallow value-kind inference for receivers and RHS values."""
-        if isinstance(node, ast.Name):
-            return self.resolve_name(node.id) or _DATA
-        if isinstance(node, ast.Attribute):
-            base = self._kind_of(node.value)
-            if base[0] == "state":
-                return ("state_field", base[1], node.attr)
-            if base[0] == "state_field":
-                return base
-            if base[0] == "module":
-                attr = getattr(base[1], node.attr, None)
-                if attr is not None:
-                    return self._external_kind(attr, node.attr)
-            return _DATA
-        if isinstance(node, ast.Subscript):
-            base = self._kind_of(node.value)
-            if base[0] in ("state", "state_field"):
-                field_name = node.value.attr if isinstance(
-                    node.value, ast.Attribute
-                ) else ""
-                root = base[1]
-                return ("state_field", root, base[2] if base[0] == "state_field" else field_name)
-            if base == _NODE_SEQ:
-                return _NODE
-            return _DATA
-        if isinstance(node, (ast.List, ast.Set, ast.Dict, ast.DictComp, ast.SetComp)):
-            return _FRESH
-        if isinstance(node, ast.ListComp):
-            return self._comprehension_kind(node)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in FRESH_CONSTRUCTORS:
-                return _FRESH
-            return _DATA
-        if isinstance(node, ast.Starred):
-            return self._kind_of(node.value)
-        return _DATA
-
-    def _comprehension_kind(self, node: ast.ListComp) -> tuple:
-        bound = self._comprehension_bindings(node.generators)
-        element = _KernelAnalyzer.__new__(_KernelAnalyzer)
-        element.__dict__ = dict(self.__dict__)
-        element.kinds = {**self.kinds, **bound}
-        return (
-            _NODE_SEQ
-            if element._kind_of(node.elt) in (_NODE, _NODE_SEQ)
-            else _FRESH
-        )
-
-    # -- write recording ---------------------------------------------
-
-    def _locate(self, node: ast.AST) -> tuple:
-        """Map an assignment-target base onto a write location.
-
-        Returns ``("state", root, field)``, ``("node",)``,
-        ``("block",)`` (a dispatcher argument), ``("cell", name)``,
-        ``("local",)`` or ``("opaque", text)``.
-        """
-        if isinstance(node, ast.Name):
-            if node.id in self.cell_names:
-                return ("cell", node.id)
-            kind = self.resolve_name(node.id)
-            if kind is None:
-                return ("local",)
-            if kind[0] == "state":
-                return ("state", kind[1], "")
-            if kind[0] == "state_field":
-                return ("state", kind[1], kind[2])
-            if kind == _NODE:
-                return ("node",)
-            if kind in (_NODE_SEQ, _VIEW):
-                return ("block",)
-            return ("local",)
-        if isinstance(node, ast.Attribute):
-            base = self._locate_value(node.value)
-            if base[0] == "state":
-                return ("state", base[1], node.attr if not base[2] else base[2])
-            if base[0] in ("node", "block", "cell"):
-                return base
-            return ("local",)
-        if isinstance(node, ast.Subscript):
-            return self._locate(node.value)
-        return ("opaque", ast.dump(node)[:60])
-
-    def _locate_value(self, node: ast.AST) -> tuple:
-        kind = self._kind_of(node)
-        if kind[0] == "state":
-            return ("state", kind[1], "")
-        if kind[0] == "state_field":
-            return ("state", kind[1], kind[2])
-        if kind == _NODE:
-            return ("node",)
-        if kind in (_NODE_SEQ, _VIEW):
-            return ("block",)
-        return ("local",)
-
-    def _record_write(
-        self, target: ast.AST, node: ast.AST, aug_reduction: bool
-    ) -> None:
-        location = self._locate(target)
-        if location[0] == "state":
-            root, field_name = location[1], location[2]
-            label = self.labels.get(root, "<state>")
-            display = f"{label}.{field_name}" if field_name else label
-            record = self.footprint.writes.setdefault(
-                (root, field_name), WriteRecord(label=display)
-            )
-            record.reduction_only = record.reduction_only and aug_reduction
-            record.in_loop_only = record.in_loop_only and self.loop_depth > 0
-        elif location[0] == "node":
-            record = self.footprint.writes.setdefault(
-                (NODE_ROOT, ""), WriteRecord(label="<traversal node>")
-            )
-            record.reduction_only = record.reduction_only and aug_reduction
-            record.in_loop_only = record.in_loop_only and self.loop_depth > 0
-        elif location[0] == "block":
-            if self._is_batch:
-                self._emit(
-                    "TW104",
-                    "kernel writes into a dispatcher block argument; "
-                    "flushed blocks are cleared in place and must not "
-                    "be mutated",
-                    node,
-                )
-        elif location[0] == "cell":
-            if self._is_batch:
-                self._emit(
-                    "TW103",
-                    f"kernel rebinds captured variable {location[1]!r}, "
-                    "carrying state from one dispatch to the next",
-                    node,
-                    hint="batch kernels must be a pure function of the "
-                    "block plus declared spec state",
-                )
-            record = self.footprint.writes.setdefault(
-                ("<cell>", location[1]),
-                WriteRecord(label=f"<captured {location[1]}>"),
-            )
-            record.reduction_only = record.reduction_only and aug_reduction
-            record.in_loop_only = record.in_loop_only and self.loop_depth > 0
-        elif location[0] == "opaque":
-            record = self.footprint.writes.setdefault(
-                ("<opaque>", location[1]),
-                WriteRecord(label=f"<unresolved {location[1]}>"),
-            )
-            record.reduction_only = False
-
-    def _check_retention(self, value: ast.AST, stmt: ast.AST) -> None:
-        """TW104 when a block argument is stored into spec state.
-
-        Only *references* count: a bare block name, or one nested in a
-        container literal.  A block consumed by a call or expression
-        (``len(os)``, ``sum(... for o in os)``) produces a derived
-        value and is fine.
-        """
-        if not self._is_batch:
-            return
-        if isinstance(value, ast.Name):
-            if self.kinds.get(value.id) in (_NODE_SEQ, _VIEW):
-                self._emit(
-                    "TW104",
-                    f"kernel retains block argument {value.id!r} "
-                    "beyond the dispatch; flushed blocks are cleared "
-                    "in place",
-                    stmt,
-                )
-            return
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            for element in value.elts:
-                self._check_retention(element, stmt)
-        elif isinstance(value, ast.Dict):
-            for element in value.values:
-                self._check_retention(element, stmt)
-        elif isinstance(value, ast.Starred):
-            self._check_retention(value.value, stmt)
-
-    # -- statements ---------------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self.visit(node.value)
-        value_kind = self._kind_of(node.value)
-        for target in node.targets:
-            self._assign_target(target, node.value, value_kind, node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self.visit(node.value)
-            self._assign_target(
-                node.target, node.value, self._kind_of(node.value), node
-            )
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self.visit(node.value)
-        # An augmented assign both reads and writes its target.
-        self._record_read_expr(node.target)
-        reduction = isinstance(node.op, _REDUCTION_OPS)
-        if isinstance(node.target, ast.Name):
-            self._local_rebind(node.target.id, _DATA, node)
-        self._record_write(node.target, node, aug_reduction=reduction)
-        self._check_retention(node.value, node)
-
-    def _assign_target(
-        self, target: ast.AST, value: ast.AST, value_kind: tuple, stmt: ast.AST
-    ) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            kinds = [_DATA] * len(target.elts)
-            if isinstance(value, (ast.Tuple, ast.List)) and len(
-                value.elts
-            ) == len(target.elts):
-                kinds = [self._kind_of(element) for element in value.elts]
-            for element, kind in zip(target.elts, kinds):
-                self._assign_target(element, value, kind, stmt)
-            return
-        if isinstance(target, ast.Name):
-            if target.id in self.cell_names:
-                self._record_write(target, stmt, aug_reduction=False)
-            self._local_rebind(target.id, value_kind, stmt)
-            return
-        self._record_write(target, stmt, aug_reduction=False)
-        self._check_retention(value, stmt)
-
-    def _local_rebind(self, name: str, kind: tuple, stmt: ast.AST) -> None:
-        if name in self.cell_names:
-            return
-        self.kinds[name] = kind
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            try:
-                module = importlib.import_module(alias.name)
-            except ImportError:  # pragma: no cover - broken import
-                continue
-            bound_name = alias.asname or alias.name.split(".")[0]
-            self.kinds[bound_name] = ("module", module, alias.name)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return
-        try:
-            module = importlib.import_module(node.module)
-        except ImportError:  # pragma: no cover - broken import
-            return
-        for alias in node.names:
-            obj = getattr(module, alias.name, None)
-            if obj is not None:
-                self.kinds[alias.asname or alias.name] = self._external_kind(
-                    obj, alias.name
-                )
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self.cell_names.update(node.names)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.cell_names.update(node.names)
-
-    def visit_For(self, node: ast.For) -> None:
-        self.visit(node.iter)
-        self._bind_loop_target(node.target, node.iter)
-        self.loop_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        self.loop_depth -= 1
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def visit_While(self, node: ast.While) -> None:
-        self.visit(node.test)
-        self.loop_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        self.loop_depth -= 1
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def _iter_element_kinds(self, iter_node: ast.AST) -> list:
-        """Element kind(s) produced by iterating ``iter_node``."""
-        kind = self._kind_of(iter_node)
-        if kind == _NODE_SEQ:
-            return [_NODE]
-        if isinstance(iter_node, ast.Call) and isinstance(
-            iter_node.func, ast.Name
-        ):
-            name = iter_node.func.id
-            if name == "zip":
-                return [
-                    _NODE
-                    if self._kind_of(arg) == _NODE_SEQ
-                    else _DATA
-                    for arg in iter_node.args
-                ]
-            if name == "enumerate" and iter_node.args:
-                inner = (
-                    _NODE
-                    if self._kind_of(iter_node.args[0]) == _NODE_SEQ
-                    else _DATA
-                )
-                return [_DATA, inner]
-        return [_DATA]
-
-    def _bind_loop_target(self, target: ast.AST, iter_node: ast.AST) -> None:
-        kinds = self._iter_element_kinds(iter_node)
-        if isinstance(target, (ast.Tuple, ast.List)):
-            if len(kinds) != len(target.elts):
-                kinds = [_DATA] * len(target.elts)
-            for element, kind in zip(target.elts, kinds):
-                if isinstance(element, ast.Name):
-                    self.kinds[element.id] = kind
-        elif isinstance(target, ast.Name):
-            self.kinds[target.id] = kinds[0] if len(kinds) == 1 else _DATA
-
-    def _comprehension_bindings(self, generators) -> dict:
-        bound: dict = {}
-        for comp in generators:
-            kinds = self._iter_element_kinds(comp.iter)
-            target = comp.target
-            if isinstance(target, (ast.Tuple, ast.List)):
-                if len(kinds) != len(target.elts):
-                    kinds = [_DATA] * len(target.elts)
-                for element, kind in zip(target.elts, kinds):
-                    if isinstance(element, ast.Name):
-                        bound[element.id] = kind
-            elif isinstance(target, ast.Name):
-                bound[target.id] = kinds[0] if len(kinds) == 1 else _DATA
-        return bound
-
-    def _visit_comprehension(self, node) -> None:
-        for comp in node.generators:
-            self.visit(comp.iter)
-        saved = dict(self.kinds)
-        self.kinds.update(self._comprehension_bindings(node.generators))
-        for comp in node.generators:
-            for condition in comp.ifs:
-                self.visit(condition)
-        if isinstance(node, ast.DictComp):
-            self.visit(node.key)
-            self.visit(node.value)
-        else:
-            self.visit(node.elt)
-        self.kinds = saved
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-
-    # -- reads --------------------------------------------------------
-
-    def _record_state_read(self, root: int, field_name: str) -> None:
-        target = (
-            self.footprint.staged_state_reads
-            if self._staged_ctx
-            else self.footprint.state_reads
-        )
-        target.add((root, field_name))
-
-    def _record_read_expr(self, node: ast.AST) -> None:
-        """Record the read half of an augmented assignment target."""
-        if isinstance(node, ast.Attribute):
-            self.visit_Attribute(node)
-        elif isinstance(node, ast.Subscript):
-            self.visit(node)
-        elif isinstance(node, ast.Name):
-            kind = self.resolve_name(node.id)
-            if kind and kind[0] == "state":
-                self._record_state_read(kind[1], "")
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        base_kind = self._kind_of(node.value)
-        if base_kind == _NODE:
-            self.footprint.node_reads.add(node.attr)
-        elif base_kind[0] == "state":
-            self._record_state_read(base_kind[1], node.attr)
-        elif base_kind[0] == "state_field":
-            self._record_state_read(base_kind[1], base_kind[2])
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            kind = self.resolve_name(node.id)
-            if kind and kind[0] == "state":
-                self._record_state_read(kind[1], "")
-
-    # -- calls --------------------------------------------------------
-
-    def _visit_call_args(self, call: ast.Call) -> None:
-        for arg in call.args:
-            self.visit(arg)
-        for keyword in call.keywords:
-            self.visit(keyword.value)
-
-    def _module_rooted(self, node: ast.AST) -> bool:
-        """True when a dotted chain bottoms out in a pure module."""
-        while isinstance(node, ast.Attribute):
-            node = node.value
-        if isinstance(node, ast.Name):
-            if node.id in PURE_MODULES:
-                return True
-            kind = self.resolve_name(node.id)
-            return bool(kind and kind[0] == "module")
-        return False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            self._call_by_name(node, func.id)
-            return
-        if isinstance(func, ast.Attribute):
-            self._call_method(node, func)
-            return
-        self._visit_call_args(node)
-
-    def _call_by_name(self, call: ast.Call, name: str) -> None:
-        if name in PURE_BUILTINS or name in FRESH_CONSTRUCTORS:
-            self._visit_call_args(call)
-            return
-        kind = self.resolve_name(name)
-        if kind is not None and kind[0] == "callable":
-            self._dispatch_function(kind[1], call, name)
-            return
-        if kind is not None and kind[0] in ("state", "state_field"):
-            # Calling a state object: unknown effect.
-            self._unknown_helper(name, call)
-            self._visit_call_args(call)
-            return
-        if kind is None:
-            self._unknown_helper(name, call)
-        self._visit_call_args(call)
-
-    def _call_method(self, call: ast.Call, func: ast.Attribute) -> None:
-        method = func.attr
-        if self._module_rooted(func.value):
-            self.visit(func.value)
-            self._visit_call_args(call)
-            return
-        base_kind = self._kind_of(func.value)
-        # Visit the receiver (recording its reads) but not the method
-        # attribute itself: ``acc.join_batch`` is a dispatch, not a
-        # state read named "join_batch".
-        self.visit(func.value)
-        if base_kind == _VIEW and method == "column":
-            for arg in call.args:
-                if isinstance(arg, ast.Constant) and isinstance(
-                    arg.value, str
-                ):
-                    self.footprint.node_reads.add(arg.value)
-            self._visit_call_args(call)
-            return
-        if base_kind[0] == "state":
-            obj = _LIVE_OBJECTS.get(base_kind[1])
-            bound = getattr(obj, method, None) if obj is not None else None
-            if callable(bound) and (
-                hasattr(bound, "__func__") or isinstance(
-                    bound, types.FunctionType
-                )
-            ):
-                self._dispatch_function(bound, call, method)
-                return
-            if method in KNOWN_MUTATING_METHODS:
-                self._state_method_write(base_kind[1], "", call)
-                self._visit_call_args(call)
-                return
-            if method in PURE_VALUE_METHODS:
-                self._visit_call_args(call)
-                return
-            self._unknown_helper(method, call)
-            self._visit_call_args(call)
-            return
-        if base_kind[0] == "state_field":
-            if method in KNOWN_MUTATING_METHODS:
-                self._state_method_write(base_kind[1], base_kind[2], call)
-            elif method not in PURE_VALUE_METHODS:
-                self._unknown_helper(method, call)
-            self._visit_call_args(call)
-            return
-        if base_kind in (_NODE_SEQ, _VIEW):
-            if method in KNOWN_MUTATING_METHODS:
-                if self._is_batch:
-                    self._emit(
-                        "TW104",
-                        f"kernel mutates its block argument via "
-                        f".{method}(); flushed blocks are cleared in "
-                        "place by the dispatcher",
-                        call,
-                    )
-            elif method not in PURE_VALUE_METHODS:
-                self._unknown_helper(method, call)
-            self._visit_call_args(call)
-            return
-        if base_kind == _NODE:
-            self.footprint.node_reads.add(method)
-            if method in KNOWN_MUTATING_METHODS:
-                self._record_write(func, call, aug_reduction=False)
-            self._visit_call_args(call)
-            return
-        if base_kind == _FRESH:
-            # Appending nodes into a fresh list makes it a node block.
-            if (
-                method in ("append", "extend", "insert", "add")
-                and isinstance(func.value, ast.Name)
-                and any(
-                    self._kind_of(arg) in (_NODE, _NODE_SEQ)
-                    for arg in call.args
-                )
-            ):
-                self.kinds[func.value.id] = _NODE_SEQ
-            self._visit_call_args(call)
-            return
-        # Plain data receiver: pure query methods are fine, mutation of
-        # a fresh temporary is fine, anything else is unknown.
-        if method not in PURE_VALUE_METHODS and method not in KNOWN_MUTATING_METHODS:
-            self._unknown_helper(method, call)
-        self._visit_call_args(call)
-
-    def _state_method_write(self, root: int, field_name: str, call) -> None:
-        label = self.labels.get(root, "<state>")
-        display = f"{label}.{field_name}" if field_name else label
-        record = self.footprint.writes.setdefault(
-            (root, field_name), WriteRecord(label=display)
-        )
-        record.reduction_only = False
-        record.in_loop_only = record.in_loop_only and self.loop_depth > 0
-
-    def _unknown_helper(self, name: str, call: ast.Call) -> None:
-        if self._is_batch:
-            self._emit(
-                "TW110",
-                f"call to unanalyzable helper {name!r}; its effects "
-                "are not part of the conformance proof",
-                call,
-                hint="mark read-only helpers __conformance_pure__ "
-                "= True (or __conformance_staged__ for staging caches)",
-            )
-
-    def _dispatch_function(self, obj, call: ast.Call, name: str) -> None:
-        """Resolve a call target to a python function and recurse."""
-        if getattr(obj, "__conformance_staged__", False):
-            self.footprint.staged_helpers.add(
-                getattr(obj, "__name__", name)
-            )
-            was_staged = self._staged_ctx
-            self._staged_ctx = True
-            self._visit_call_args(call)
-            self._staged_ctx = was_staged
-            return
-        if getattr(obj, "__conformance_pure__", False):
-            self._visit_call_args(call)
-            return
-        if isinstance(obj, type):
-            self._visit_call_args(call)
-            return
-        self_obj = getattr(obj, "__self__", None)
-        fn = getattr(obj, "__func__", obj)
-        code = getattr(fn, "__code__", None)
-        if code is None or not isinstance(fn, types.FunctionType):
-            module = getattr(obj, "__module__", "") or ""
-            if not module.split(".")[0] in PURE_MODULES:
-                self._unknown_helper(name, call)
-            self._visit_call_args(call)
-            return
-        module = getattr(fn, "__module__", "") or ""
-        if not module.startswith("repro") or self.depth >= MAX_DEPTH:
-            self._unknown_helper(name, call)
-            self._visit_call_args(call)
-            return
-        self._visit_call_args(call)
-        # Bind parameter kinds from the call site.
-        arg_kinds = [self._kind_of(arg) for arg in call.args]
-        params = list(code.co_varnames[: code.co_argcount])
-        kinds: dict = {}
-        if self_obj is not None:
-            _LIVE_OBJECTS[id(self_obj)] = self_obj
-            kinds[params[0]] = self._state_root(
-                self_obj, type(self_obj).__name__.lower()
-            )
-            params = params[1:]
-        for param, kind in zip(params, arg_kinds):
-            kinds[param] = kind
-        for keyword in call.keywords:
-            if keyword.arg in code.co_varnames[: code.co_argcount]:
-                kinds[keyword.arg] = self._kind_of(keyword.value)
-        for param in code.co_varnames[: code.co_argcount]:
-            kinds.setdefault(param, _DATA)
-        memo_key = (code, tuple(sorted(
-            (param, _hashable_kind(kind)) for param, kind in kinds.items()
-        )), self.footprint.role)
-        if memo_key in self.memo:
-            return
-        self.memo.add(memo_key)
-        _analyze_function(
-            fn,
-            kinds,
-            self.footprint,
-            self.sink,
-            self.labels,
-            self.memo,
-            self.depth + 1,
-            loop_depth=self.loop_depth,
-        )
+def _describe(key: tuple, labels: dict) -> str:
+    """Display label of a ``(root, field)`` location."""
+    root, field_name = key
+    if root == NODE_ROOT:
+        return "<traversal node>"
+    if root == CELL_ROOT:
+        return f"<captured {field_name}>"
+    if root == OPAQUE_ROOT:
+        return f"<unresolved {field_name}>"
+    label = labels.get(root, "<state>")
+    return f"{label}.{field_name}" if field_name else label
 
 
-#: ``id(obj) -> obj`` for state roots whose methods we may recurse into.
-_LIVE_OBJECTS: dict = {}
+def _conformance_analyzable(ir: KernelIR) -> bool:
+    return ir.analyzable and not ir.conformance.sourceless
 
 
-def _hashable_kind(kind: tuple) -> tuple:
-    return tuple(
-        part if isinstance(part, (str, int, float, bool, type(None))) else id(part)
-        for part in kind
-    )
-
-
-def _analyze_function(
-    fn,
-    kinds: dict,
-    footprint: KernelFootprint,
-    sink: DiagnosticSink,
-    labels: dict,
-    memo: set,
-    depth: int = 0,
-    loop_depth: int = 0,
-) -> None:
-    """Walk one function body, accumulating into ``footprint``."""
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError, IndentationError):
-        footprint.analyzable = False
+def _kernel_findings(ir: KernelIR, sink: DiagnosticSink) -> None:
+    """Per-kernel findings: TW100 always, TW103/104/109/110 for batch roles."""
+    if not ir.analyzable:
         sink.emit(
             "TW100",
-            f"{footprint.role}: source of "
-            f"{getattr(fn, '__qualname__', fn)!r} is unavailable; "
+            f"{ir.role}: source of {ir.name!r} is unavailable or not a "
+            "plain function definition; conformance cannot be analyzed",
+        )
+    for helper in ir.conformance.sourceless:
+        sink.emit(
+            "TW100",
+            f"{ir.role}: source of helper {helper!r} is unavailable; "
             "conformance cannot be analyzed",
         )
+    if ir.role not in BATCH_ROLES:
         return
-    function_def = next(
-        (
-            node
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ),
-        None,
-    )
-    if function_def is None:
-        footprint.analyzable = False
+    facts = ir.conformance
+    for name, line in facts.rebinds:
         sink.emit(
-            "TW100",
-            f"{footprint.role}: {getattr(fn, '__qualname__', fn)!r} is "
-            "not a plain function definition",
+            "TW103",
+            f"{ir.role}: kernel rebinds captured variable {name!r}, "
+            f"carrying state from one dispatch to the next (in {ir.name})",
+            _Span(line),
+            hint="batch kernels must be a pure function of the block plus "
+            "declared spec state",
         )
-        return
-    analyzer = _KernelAnalyzer(
-        fn,
-        kinds,
-        footprint,
-        sink,
-        labels,
-        memo,
-        depth,
-        line_offset=fn.__code__.co_firstlineno - 1,
-    )
-    analyzer.loop_depth = loop_depth
-    for stmt in function_def.body:
-        analyzer.visit(stmt)
-
-
-#: Parameter kinds per kernel role (positional).
-_ROLE_PARAM_KINDS = {
-    "work": (_NODE, _NODE),
-    "truncate_inner2": (_NODE, _NODE),
-    "work_batch": (_NODE_SEQ, _NODE_SEQ),
-    "work_batch_soa": (_VIEW, _VIEW, _DATA, _DATA),
-    "truncate_inner2_batch": (_NODE,),
-}
-
-
-def analyze_kernel(
-    fn,
-    role: str,
-    sink: DiagnosticSink,
-    labels: dict,
-) -> KernelFootprint:
-    """Infer the footprint of one spec kernel function."""
-    footprint = KernelFootprint(
-        role=role, name=getattr(fn, "__qualname__", "<kernel>")
-    )
-    fn0 = getattr(fn, "__func__", fn)
-    kinds: dict = {}
-    self_obj = getattr(fn, "__self__", None)
-    code = getattr(fn0, "__code__", None)
-    if code is not None:
-        params = list(code.co_varnames[: code.co_argcount])
-        if self_obj is not None and params:
-            _LIVE_OBJECTS[id(self_obj)] = self_obj
-            key = id(self_obj)
-            labels.setdefault(key, type(self_obj).__name__.lower())
-            kinds[params[0]] = ("state", key, labels[key])
-            params = params[1:]
-        for param, kind in zip(params, _ROLE_PARAM_KINDS[role]):
-            kinds[param] = kind
-        for param in params:
-            kinds.setdefault(param, _DATA)
-    _analyze_function(fn0, kinds, footprint, sink, labels, dict_memo := set())
-    del dict_memo
-    return footprint
+    for what, line in facts.block_escapes:
+        sink.emit(
+            "TW104",
+            f"{ir.role}: kernel {what}; flushed blocks are cleared in "
+            f"place by the dispatcher (in {ir.name})",
+            _Span(line),
+        )
+    for helper in facts.opaque_calls:
+        sink.emit(
+            "TW110",
+            f"{ir.role}: call to unanalyzable helper {helper.name!r}; its "
+            f"effects are not part of the conformance proof (in {ir.name})",
+            _Span(helper.line),
+            hint="mark read-only helpers __conformance_pure__ = True (or "
+            "__conformance_staged__ for staging caches)",
+        )
+    if facts.staged_helpers:
+        sink.emit(
+            "TW109",
+            f"{ir.role} reads staged copies via "
+            f"{sorted(facts.staged_helpers)}; conformance assumes the "
+            "staging mirrors live tree data",
+        )
 
 
 # ---------------------------------------------------------------------
@@ -991,7 +177,10 @@ class SpecConformanceReport:
     #: why each backend got its verdict (one line per backend)
     reasons: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
+    #: the compared kernels' IR, in analysis order
     kernels: list = field(default_factory=list)
+    #: effect root -> display label, merged across ``kernels``
+    labels: dict = field(default_factory=dict)
 
     @property
     def errors(self) -> list:
@@ -1004,6 +193,12 @@ class SpecConformanceReport:
     def codes(self) -> set:
         """The distinct diagnostic codes present in this report."""
         return {d.code for d in self.diagnostics}
+
+    def kernel_writes(self, ir: KernelIR) -> list:
+        """Display labels of the state locations ``ir`` writes."""
+        return sorted(
+            {_describe(key, self.labels) for key in ir.conformance.write_keys()}
+        )
 
     def render(self) -> str:
         """Human-readable report: findings, per-backend verdicts, summary."""
@@ -1036,7 +231,17 @@ class SpecConformanceReport:
             "reasons": dict(self.reasons),
             "diagnostics": [d.to_json() for d in self.diagnostics],
             "suppressed": [],
-            "kernels": [k.to_json() for k in self.kernels],
+            "kernels": [
+                {
+                    "role": ir.role,
+                    "name": ir.name,
+                    "analyzable": _conformance_analyzable(ir),
+                    "writes": self.kernel_writes(ir),
+                    "node_reads": sorted(ir.conformance.node_reads),
+                    "staged_helpers": sorted(ir.conformance.staged_helpers),
+                }
+                for ir in self.kernels
+            ],
             "counts": {
                 "errors": len(self.errors),
                 "warnings": len(self.warnings),
@@ -1049,26 +254,16 @@ class SpecConformanceReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _fold_verdict(sink: DiagnosticSink) -> str:
-    if sink.errors:
-        return "unsafe"
-    if sink.warnings:
-        return "needs-dynamic-check"
-    return "safe"
-
-
 def _compare_write_sets(
-    scalar: KernelFootprint,
-    batch: KernelFootprint,
-    sink: DiagnosticSink,
+    scalar: KernelIR, batch: KernelIR, sink: DiagnosticSink, labels: dict
 ) -> None:
     """TW101: the batch kernel must write exactly the scalar locations."""
-    scalar_writes = scalar.write_keys()
-    batch_writes = batch.write_keys()
+    scalar_writes = scalar.conformance.write_keys()
+    batch_writes = batch.conformance.write_keys()
     for key in sorted(batch_writes - scalar_writes, key=str):
         sink.emit(
             "TW101",
-            f"{batch.role} writes {batch.writes[key].label!r} which the "
+            f"{batch.role} writes {_describe(key, labels)!r} which the "
             f"scalar work kernel never writes",
             hint="a vectorized kernel must touch exactly the state its "
             "scalar counterpart touches",
@@ -1076,56 +271,57 @@ def _compare_write_sets(
     for key in sorted(scalar_writes - batch_writes, key=str):
         sink.emit(
             "TW101",
-            f"{batch.role} never writes {scalar.writes[key].label!r} "
+            f"{batch.role} never writes {_describe(key, labels)!r} "
             f"which the scalar work kernel writes on every pair",
         )
 
 
+def _extra_reads(reference: KernelIR, kernel: KernelIR, labels: dict) -> tuple:
+    """State locations and node fields ``kernel`` reads beyond ``reference``."""
+    extra_state = (
+        kernel.conformance.state_reads() - reference.conformance.state_reads()
+    )
+    extra_nodes = kernel.conformance.node_reads - reference.conformance.node_reads
+    return sorted(_describe(key, labels) for key in extra_state), sorted(extra_nodes)
+
+
 def _compare_read_sets(
-    scalar: KernelFootprint,
-    batch: KernelFootprint,
-    sink: DiagnosticSink,
-    labels: dict,
+    scalar: KernelIR, batch: KernelIR, sink: DiagnosticSink, labels: dict
 ) -> None:
     """TW102: extra reads mean the batch result may depend on more."""
-    extra_nodes = batch.node_reads - scalar.node_reads
+    extra_state, extra_nodes = _extra_reads(scalar, batch, labels)
     if extra_nodes:
         sink.emit(
             "TW102",
-            f"{batch.role} reads node field(s) "
-            f"{sorted(extra_nodes)} that the scalar kernel never "
-            "touches; equivalence depends on those fields matching the "
-            "scalar derivation",
+            f"{batch.role} reads node field(s) {extra_nodes} that the "
+            "scalar kernel never touches; equivalence depends on those "
+            "fields matching the scalar derivation",
         )
-    extra_state = batch.state_reads - scalar.state_reads
     if extra_state:
-        names = sorted(
-            f"{labels.get(root, '<state>')}"
-            + (f".{field_name}" if field_name else "")
-            for root, field_name in extra_state
-        )
         sink.emit(
             "TW102",
-            f"{batch.role} reads state {names} that the scalar kernel "
-            "never reads",
+            f"{batch.role} reads state {extra_state} that the scalar "
+            "kernel never reads",
         )
 
 
 def _check_order_sensitivity(
-    batch: KernelFootprint, sink: DiagnosticSink
+    batch: KernelIR, sink: DiagnosticSink, labels: dict
 ) -> None:
     """TW108: vectorized read-modify-write without an in-order replay."""
-    for key, record in sorted(batch.writes.items(), key=lambda kv: str(kv[0])):
-        if key not in batch.state_reads:
-            continue
-        if record.reduction_only:
+    reads = batch.conformance.state_reads()
+    for key in sorted(batch.conformance.write_keys() & reads, key=str):
+        writes = [
+            e for e in batch.conformance.effects if e.is_write and e.key == key
+        ]
+        if all(e.reduction for e in writes):
             continue  # commutative reduction: order-independent
-        if record.in_loop_only:
+        if all(e.in_loop for e in writes):
             continue  # literal per-pair replay: order-faithful
         sink.emit(
             "TW108",
-            f"{batch.role} reads and overwrites {record.label!r} with a "
-            "vectorized update; equivalence to the scalar kernel's "
+            f"{batch.role} reads and overwrites {_describe(key, labels)!r} "
+            "with a vectorized update; equivalence to the scalar kernel's "
             "in-order updates is not statically provable",
             hint="discharge at runtime with backend='sanitize'",
         )
@@ -1133,8 +329,8 @@ def _check_order_sensitivity(
 
 def _check_guards(
     spec: NestedRecursionSpec,
-    scalar_guard: Optional[KernelFootprint],
-    block_guard: Optional[KernelFootprint],
+    scalar_guard: Optional[KernelIR],
+    block_guard: Optional[KernelIR],
     sink: DiagnosticSink,
     labels: dict,
 ) -> None:
@@ -1150,75 +346,44 @@ def _check_guards(
         )
     if block_guard is None:
         return
-    if block_guard.writes:
-        labels_written = sorted(
-            record.label for record in block_guard.writes.values()
-        )
+    written = block_guard.conformance.write_keys()
+    if written:
         sink.emit(
             "TW106",
-            f"truncate_inner2_batch writes {labels_written}; a block "
+            f"truncate_inner2_batch writes "
+            f"{sorted(_describe(key, labels) for key in written)}; a block "
             "guard is pre-evaluated for whole subtrees and must be pure",
         )
     if scalar_guard is None:
         return
-    extra_state = block_guard.state_reads - scalar_guard.state_reads
-    extra_nodes = block_guard.node_reads - scalar_guard.node_reads
+    extra_state, extra_nodes = _extra_reads(scalar_guard, block_guard, labels)
     if extra_state or extra_nodes:
-        names = sorted(
-            f"{labels.get(root, '<state>')}"
-            + (f".{field_name}" if field_name else "")
-            for root, field_name in extra_state
-        ) + sorted(extra_nodes)
         sink.emit(
             "TW105",
-            f"truncate_inner2_batch reads {names} that the scalar "
-            "truncate_inner2 never consults; block decisions may "
-            "diverge from scalar ones",
+            f"truncate_inner2_batch reads {extra_state + extra_nodes} that "
+            "the scalar truncate_inner2 never consults; block decisions "
+            "may diverge from scalar ones",
         )
+
+
+def _backend_verdict(errors: list, warnings: list, safe_reason: str) -> tuple:
+    if errors:
+        codes = "; ".join(sorted({d.code for d in errors}))
+        return "unsafe", codes + " refute scalar equivalence"
+    if warnings:
+        codes = "; ".join(sorted({d.code for d in warnings}))
+        return "needs-dynamic-check", codes + " leave holes in the proof"
+    return "safe", safe_reason
 
 
 #: Conformance verdict cache, keyed on kernel code objects + flags.
 _REPORT_CACHE: dict = {}
 
 
-def _kernel_cache_key(fn) -> object:
-    if fn is None:
-        return None
-    fn0 = getattr(fn, "__func__", fn)
-    code = getattr(fn0, "__code__", None)
-    if code is None:
-        return ("opaque", type(fn).__name__)
-    cells = []
-    closure = getattr(fn0, "__closure__", None) or ()
-    for name, cell in zip(code.co_freevars, closure):
-        try:
-            value = cell.cell_contents
-        except ValueError:  # pragma: no cover - unfilled cell
-            cells.append((name, None))
-            continue
-        inner = getattr(value, "__func__", value)
-        inner_code = getattr(inner, "__code__", None)
-        cells.append(
-            (name, inner_code if inner_code is not None else type(value).__name__)
-        )
-    return (code, tuple(cells))
-
-
-def _spec_cache_key(spec: NestedRecursionSpec) -> tuple:
-    return (
-        _kernel_cache_key(spec.work),
-        _kernel_cache_key(spec.work_batch),
-        _kernel_cache_key(spec.work_batch_soa),
-        _kernel_cache_key(spec.truncate_inner2),
-        _kernel_cache_key(spec.truncate_inner2_batch),
-        bool(spec.truncation_observes_work),
-    )
-
-
 def clear_cache() -> None:
-    """Drop memoized conformance reports (tests and mutation harnesses)."""
+    """Drop memoized conformance reports and the shared kernel IR."""
     _REPORT_CACHE.clear()
-    _LIVE_OBJECTS.clear()
+    clear_ir_cache()
 
 
 def lint_spec(
@@ -1232,84 +397,57 @@ def lint_spec(
     kernels' code objects, so re-making a spec from the same factory
     (fresh closures, same code) reuses the verdict.
     """
-    key = _spec_cache_key(spec) if use_cache else None
+    key = spec_cache_key(spec) if use_cache else None
     if key is not None and key in _REPORT_CACHE:
         cached = _REPORT_CACHE[key]
         if cached.spec_name == (spec.name or "<spec>"):
             return cached
+    irs = spec_kernel_irs(spec, use_cache=use_cache)
     labels: dict = {}
+    for ir in irs.values():
+        for root, label in ir.conformance.labels.items():
+            labels.setdefault(root, label)
+
     sink = DiagnosticSink()
-
-    scalar = None
-    if spec.work is not None:
-        scalar = analyze_kernel(spec.work, "work", sink, labels)
-
     batch_sink = DiagnosticSink()
     soa_sink = DiagnosticSink()
     guard_sink = DiagnosticSink()
 
-    batch_fp = soa_fp = None
-    if spec.work_batch is not None:
-        batch_fp = analyze_kernel(
-            spec.work_batch, "work_batch", batch_sink, labels
-        )
-    if spec.work_batch_soa is not None:
-        soa_fp = analyze_kernel(
-            spec.work_batch_soa, "work_batch_soa", soa_sink, labels
-        )
+    scalar = irs.get("work")
+    batch = irs.get("work_batch")
+    soa = irs.get("work_batch_soa")
+    block_guard = irs.get("truncate_inner2_batch")
+    scalar_guard = irs.get("truncate_inner2") if block_guard else None
+    for ir, ir_sink in (
+        (scalar, sink),
+        (batch, batch_sink),
+        (soa, soa_sink),
+        (block_guard, guard_sink),
+    ):
+        if ir is not None:
+            _kernel_findings(ir, ir_sink)
 
-    scalar_guard = None
-    if spec.truncate_inner2 is not None and spec.truncate_inner2_batch is not None:
-        scalar_guard = analyze_kernel(
-            spec.truncate_inner2, "truncate_inner2", DiagnosticSink(), labels
-        )
-    block_guard = None
-    if spec.truncate_inner2_batch is not None:
-        block_guard = analyze_kernel(
-            spec.truncate_inner2_batch,
-            "truncate_inner2_batch",
-            guard_sink,
-            labels,
-        )
-
-    for vector_fp, vector_sink in ((batch_fp, batch_sink), (soa_fp, soa_sink)):
-        if vector_fp is None:
+    for vector, vector_sink in ((batch, batch_sink), (soa, soa_sink)):
+        if vector is None:
             continue
         if scalar is None:
             vector_sink.emit(
                 "TW100",
-                f"{vector_fp.role}: spec has no scalar work kernel to "
+                f"{vector.role}: spec has no scalar work kernel to "
                 "compare against",
             )
-            continue
-        if scalar.analyzable and vector_fp.analyzable:
-            _compare_write_sets(scalar, vector_fp, vector_sink)
-            _compare_read_sets(scalar, vector_fp, vector_sink, labels)
-            _check_order_sensitivity(vector_fp, vector_sink)
+        elif _conformance_analyzable(scalar) and _conformance_analyzable(vector):
+            _compare_write_sets(scalar, vector, vector_sink, labels)
+            _compare_read_sets(scalar, vector, vector_sink, labels)
+            _check_order_sensitivity(vector, vector_sink, labels)
         else:
             vector_sink.emit(
                 "TW100",
-                f"{vector_fp.role}: scalar reference or kernel source "
+                f"{vector.role}: scalar reference or kernel source "
                 "is unanalyzable; conformance cannot be proven",
             )
-        if vector_fp.staged_helpers:
-            vector_sink.emit(
-                "TW109",
-                f"{vector_fp.role} reads staged copies via "
-                f"{sorted(vector_fp.staged_helpers)}; conformance "
-                "assumes the staging mirrors live tree data",
-            )
-    if block_guard is not None and block_guard.staged_helpers:
-        guard_sink.emit(
-            "TW109",
-            f"truncate_inner2_batch reads staged copies via "
-            f"{sorted(block_guard.staged_helpers)}; conformance assumes "
-            "the staging mirrors live tree data",
-        )
     _check_guards(spec, scalar_guard, block_guard, guard_sink, labels)
-    if spec.truncation_observes_work and (
-        spec.work_batch is not None or spec.work_batch_soa is not None
-    ):
+    if spec.truncation_observes_work and (batch is not None or soa is not None):
         batch_sink.emit(
             "TW107",
             "truncation observes work: deferred dispatch is only "
@@ -1323,59 +461,43 @@ def lint_spec(
 
     batched_errors = batch_sink.errors + guard_sink.errors
     batched_warnings = batch_sink.warnings + guard_sink.warnings
-    if spec.work_batch is None and spec.truncate_inner2_batch is None:
-        batched_verdict = "safe"
-        batched_reason = "no vectorized kernels: scalar work dispatched per pair"
-    elif batched_errors:
-        batched_verdict = "unsafe"
-        batched_reason = "; ".join(
-            sorted({d.code for d in batched_errors})
-        ) + " refute scalar equivalence"
-    elif batched_warnings:
-        batched_verdict = "needs-dynamic-check"
-        batched_reason = "; ".join(
-            sorted({d.code for d in batched_warnings})
-        ) + " leave holes in the proof"
+    if batch is None and block_guard is None:
+        batched = (
+            "safe",
+            "no vectorized kernels: scalar work dispatched per pair",
+        )
     else:
-        batched_verdict = "safe"
-        batched_reason = "write/read sets match and updates are order-independent"
+        batched = _backend_verdict(
+            batched_errors,
+            batched_warnings,
+            "write/read sets match and updates are order-independent",
+        )
 
     mode = dispatch_mode(spec)
     if mode == "inline":
-        soa_errors = guard_sink.errors
-        soa_warnings = guard_sink.warnings
-        soa_reason_safe = "inline mode: the scalar work kernel runs at schedule position"
+        soa_verdict = _backend_verdict(
+            guard_sink.errors,
+            guard_sink.warnings,
+            "inline mode: the scalar work kernel runs at schedule position",
+        )
     elif mode == "positions":
-        soa_errors = soa_sink.errors + guard_sink.errors
-        soa_warnings = soa_sink.warnings + guard_sink.warnings
-        soa_reason_safe = "work_batch_soa conforms to the scalar kernel"
+        soa_verdict = _backend_verdict(
+            soa_sink.errors + guard_sink.errors,
+            soa_sink.warnings + guard_sink.warnings,
+            "work_batch_soa conforms to the scalar kernel",
+        )
     else:
-        soa_errors = batched_errors
-        soa_warnings = batched_warnings
-        soa_reason_safe = "nodes mode reuses the (conforming) batched dispatcher"
-    if soa_errors:
-        soa_verdict = "unsafe"
-        soa_reason = "; ".join(
-            sorted({d.code for d in soa_errors})
-        ) + " refute scalar equivalence"
-    elif soa_warnings:
-        soa_verdict = "needs-dynamic-check"
-        soa_reason = "; ".join(
-            sorted({d.code for d in soa_warnings})
-        ) + " leave holes in the proof"
-    else:
-        soa_verdict = "safe"
-        soa_reason = soa_reason_safe
+        soa_verdict = _backend_verdict(
+            batched_errors,
+            batched_warnings,
+            "nodes mode reuses the (conforming) batched dispatcher",
+        )
 
-    backends = {
-        "recursive": "safe",
-        "batched": batched_verdict,
-        "soa": soa_verdict,
-    }
+    backends = {"recursive": "safe", "batched": batched[0], "soa": soa_verdict[0]}
     reasons = {
         "recursive": "reference semantics",
-        "batched": batched_reason,
-        "soa": soa_reason,
+        "batched": batched[1],
+        "soa": soa_verdict[1],
     }
 
     for sub_sink in (batch_sink, soa_sink, guard_sink):
@@ -1385,7 +507,7 @@ def lint_spec(
         verdict = SpecVerdict.UNSAFE
     elif "needs-dynamic-check" in backends.values():
         verdict = SpecVerdict.NEEDS_DYNAMIC_CHECK
-    elif spec.work_batch_soa is not None:
+    elif soa is not None:
         verdict = SpecVerdict.SOA_SAFE
     else:
         verdict = SpecVerdict.BATCH_SAFE
@@ -1397,10 +519,11 @@ def lint_spec(
         reasons=reasons,
         diagnostics=sink.diagnostics,
         kernels=[
-            fp
-            for fp in (scalar, batch_fp, soa_fp, scalar_guard, block_guard)
-            if fp is not None
+            ir
+            for ir in (scalar, batch, soa, scalar_guard, block_guard)
+            if ir is not None
         ],
+        labels=labels,
     )
     if key is not None:
         _REPORT_CACHE[key] = report

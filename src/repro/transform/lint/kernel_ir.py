@@ -1,20 +1,19 @@
-"""Typed kernel IR: what a spec kernel *does*, in lowerable terms.
+"""Kernel IR: what a spec kernel *does*, extracted once for every pass.
 
-The TW1xx conformance analyzer asks "does the batched kernel do the
-same thing as the scalar one?".  The passes in
-:mod:`repro.transform.lint.lower` ask a different question: "could a
-fused/compiled backend run this kernel at all, and can two outer tasks
-run it concurrently?".  Both need the same raw material — a summary of
-the kernel's effects — but in *typed* terms: which arrays are touched,
-through which index expressions (affine in the traversal ranks, or a
-gather through a payload column), which state fields are reduced into,
-where Python objects leak into the hot path.
+Every spec-level analyzer reads the same summary of a kernel's effects.
+The TW1xx conformance passes (:mod:`repro.transform.lint.backend`) ask
+"does the batched kernel do the same thing as the scalar one?"; the
+passes in :mod:`repro.transform.lint.lower` ask "could a fused/compiled
+backend run this kernel at all, and can two outer tasks run it
+concurrently?"; the TW30x locality pass asks how much data the inner
+traversal touches.  This module extracts the summary from the live
+function objects of a :class:`~repro.core.spec.NestedRecursionSpec`
+(``work``, ``work_batch``, ``work_batch_soa``, and the truncation
+guards), and :func:`spec_kernel_irs` caches it per kernel family, so
+the three analyzers walk each kernel once.
 
-This module extracts that summary from the live function objects of a
-:class:`~repro.core.spec.NestedRecursionSpec` (``work``,
-``work_batch``, ``work_batch_soa``, and the truncation guards).  It is
-a *fact extractor*: it never emits diagnostics itself — the passes in
-``lower.py`` interpret the facts.  Extraction is abstract
+The extractor is a *fact extractor*: it never emits diagnostics itself
+— the passes interpret the facts.  Extraction is abstract
 interpretation over the kernel's AST with a small value-kind lattice:
 
 ====================  =============================================
@@ -38,31 +37,54 @@ iteration space.  Affine tracking is deliberately 1-D per axis: the
 paper's transformations never mix ranks inside one index dimension, so
 ``c*r + k`` per axis is exactly the precision the disjointness proof
 in §7.3 needs.
-"""
 
+Alongside the typed facts, each :class:`KernelIR` carries the
+:class:`Conformance` facts the TW1xx passes compare across a spec's
+kernels: reads and writes of live state keyed by object identity
+(:class:`Effect`), node fields read, dispatcher-block escapes, rebound
+captured variables, and calls the comparison cannot see into.  Helpers
+marked ``__conformance_staged__`` (pure reads of pre-staged copies of
+tree data) or ``__conformance_pure__`` are summarized by their marker
+in those facts; the typed facts still follow them.
+"""
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 import inspect
 import numbers
 import textwrap
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
 
+from repro.transform.lint.footprints import (
+    FRESH_CONSTRUCTORS,
+    KNOWN_MUTATING_METHODS,
+    KNOWN_PURE_METHODS,
+    PURE_BUILTINS,
+    PURE_MODULES,
+)
+
 __all__ = [
     "AllocSite",
     "ArrayAccess",
+    "Conformance",
+    "Effect",
     "HelperCall",
     "IndexDim",
     "KernelIR",
     "NodeFieldWrite",
     "ObjectUse",
     "StateAccess",
+    "clear_ir_cache",
     "extract_kernel_ir",
     "ROLE_PARAM_KINDS",
+    "spec_cache_key",
+    "spec_kernel_irs",
 ]
 
 # --------------------------------------------------------------------
@@ -173,6 +195,75 @@ class HelperCall:
     line: int = 0
 
 
+#: Pseudo-roots of conformance locations that are not live objects:
+#: traversal nodes, a rebound captured variable, an unresolvable target.
+NODE_ROOT = "<node>"
+CELL_ROOT = "<cell>"
+OPAQUE_ROOT = "<opaque>"
+#: Store location of a dispatcher block argument (never a write effect).
+_BLOCK = ("<block>", "")
+
+
+@dataclass(frozen=True)
+class Effect:
+    """A read or write of kernel-visible state, keyed for comparison.
+
+    ``root`` is the ``id()`` of the live object the access starts from
+    — ``acc`` in one kernel and ``self`` in a bound method of the same
+    object share it — or one of :data:`NODE_ROOT`, :data:`CELL_ROOT`,
+    :data:`OPAQUE_ROOT`.  ``field`` is the first attribute below the
+    root (``""`` for the root itself); deeper attribute chains and
+    subscripts fold onto it.
+    """
+
+    root: Any
+    field: str
+    is_write: bool
+    #: write folded in by a commutative augmented assignment
+    reduction: bool = False
+    #: write inside a for/while loop (a literal per-pair replay)
+    in_loop: bool = False
+    #: read made only as an argument to a ``__conformance_staged__`` helper
+    staged: bool = False
+    line: int = 0
+
+    @property
+    def key(self) -> tuple:
+        """The ``(root, field)`` location this effect touches."""
+        return (self.root, self.field)
+
+
+@dataclass
+class Conformance:
+    """The facts the TW1xx passes compare across a spec's kernels."""
+
+    effects: list[Effect] = field(default_factory=list)
+    #: effect root -> the name it was first reached under (display only)
+    labels: dict[Any, str] = field(default_factory=dict)
+    #: node fields read: attributes, ``view.column("f")`` names, and
+    #: methods called on nodes
+    node_reads: set[str] = field(default_factory=set)
+    #: names of ``__conformance_staged__`` helpers called
+    staged_helpers: set[str] = field(default_factory=set)
+    #: ``(what, line)``: writes into, mutation or retention of a
+    #: dispatcher block argument
+    block_escapes: list[tuple[str, int]] = field(default_factory=list)
+    #: ``(name, line)``: ``nonlocal``/``global`` names the kernel rebinds
+    rebinds: list[tuple[str, int]] = field(default_factory=list)
+    #: calls whose effects the comparison cannot see
+    opaque_calls: list[HelperCall] = field(default_factory=list)
+    #: helpers whose source could not be read
+    sourceless: list[str] = field(default_factory=list)
+
+    def write_keys(self) -> set[tuple]:
+        """The ``(root, field)`` locations written."""
+        return {e.key for e in self.effects if e.is_write}
+
+    def state_reads(self) -> set[tuple]:
+        """The locations read outside staged-helper arguments."""
+        return {e.key for e in self.effects if not e.is_write and not e.staged}
+
+
 @dataclass
 class KernelIR:
     """The extracted effect summary of one kernel."""
@@ -194,6 +285,7 @@ class KernelIR:
     untyped: list[tuple[str, int]] = field(default_factory=list)
     #: lines where a data-dependent extent (mask index) appeared
     dynamic_shapes: list[tuple[str, int]] = field(default_factory=list)
+    conformance: Conformance = field(default_factory=Conformance)
 
     def writes(self) -> list[ArrayAccess]:
         """The array accesses that mutate their target."""
@@ -266,28 +358,44 @@ _NP_ALLOC = frozenset({"zeros", "empty", "ones", "full", "zeros_like", "empty_li
 #: numpy callables producing data-dependent index sets
 _NP_DYNSHAPE = frozenset({"nonzero", "flatnonzero", "where", "argwhere", "unique"})
 
-#: ndarray methods that read without mutating
-_PURE_VALUE_METHODS = frozenset(
+#: Methods that read their receiver without mutating it: the container
+#: queries of the TW0xx footprint pass, the ndarray surface the batch
+#: kernels use, and the staging accessors ``LeafBlocks.rows`` and
+#: ``SoATree.column``.
+PURE_VALUE_METHODS = KNOWN_PURE_METHODS | frozenset(
     {
-        "sum",
+        "all",
+        "any",
+        "argmax",
+        "argmin",
+        "argsort",
+        "astype",
+        "column",
         "dot",
+        "item",
+        "max",
+        "max_dist",
         "mean",
         "min",
-        "max",
-        "astype",
-        "copy",
-        "item",
-        "any",
-        "all",
-        "reshape",
-        "ravel",
+        "min_dist",
+        "nonzero",
         "prod",
+        "ravel",
+        "reshape",
+        "rows",
+        "sum",
+        "take",
+        "tobytes",
     }
 )
+
+#: ndarray methods that mutate their receiver in place
+_ARRAY_MUTATORS = frozenset({"fill", "sort", "put", "setfield", "resize"})
 
 #: augmented-assignment operators recognized as commutative reductions
 _REDUCTION_OPS = (ast.Add, ast.Mult, ast.BitOr, ast.BitAnd, ast.BitXor)
 
+#: helper-recursion depth past which a call stays unsummarized
 _MAX_DEPTH = 6
 
 _MISSING = object()
@@ -330,8 +438,24 @@ def _classify_live(value: Any, label: str) -> tuple:
     return ("state", id(value), label)
 
 
+def _import(name: str) -> Any:
+    try:
+        return importlib.import_module(name)
+    except ImportError:  # pragma: no cover - broken import in a kernel
+        return None
+
+
 class _Extractor(ast.NodeVisitor):
-    """Walks one kernel's AST, recording facts into a shared IR."""
+    """Walks one kernel's AST, recording facts into a shared IR.
+
+    Typed facts go to ``ir``; conformance facts go to ``cf``.  A helper
+    call is walked at most once per argument signature for each: a
+    repeat call whose conformance view is new (another live object
+    behind the same parameter) is re-walked with the typed facts sent
+    to a throwaway IR (``typed=False``), and the body of a helper marked
+    ``__conformance_staged__``/``__conformance_pure__`` is walked with
+    the conformance facts sent to a throwaway sink (``muted=True``).
+    """
 
     def __init__(
         self,
@@ -339,24 +463,41 @@ class _Extractor(ast.NodeVisitor):
         fn: types.FunctionType,
         param_kinds: tuple[tuple, ...],
         live: dict[int, Any],
+        cf: Conformance,
         self_kind: Optional[tuple] = None,
         depth: int = 0,
         loop_depth: int = 0,
         memo: Optional[set] = None,
+        typed: bool = True,
+        muted: bool = False,
+        arg_locs: tuple = (),
+        kw_locs: Optional[dict] = None,
     ) -> None:
         self.ir = ir
+        self.cf = cf
         self.fn = fn
         self.live = live
         self.depth = depth
         self.loop_depth = loop_depth
         self.memo = memo if memo is not None else set()
+        self.typed = typed
+        self.muted = muted
         self.kinds: dict[str, tuple] = {}
+        #: local name -> conformance location of the value it aliases
+        self.locs: dict[str, Optional[tuple]] = {}
+        #: names declared ``nonlocal``/``global``
+        self.cells: set[str] = set()
+        #: names bound by imports inside the kernel body
+        self.imports: dict[str, Any] = {}
         self.line_offset = 0
+        self.parsed = False
+        self._in_target = 0
+        self._followed = False
+        self._window = (0, 0)
         try:
             source = textwrap.dedent(inspect.getsource(fn))
             tree = ast.parse(source)
         except (OSError, TypeError, SyntaxError, IndentationError):
-            ir.analyzable = False
             return
         self.line_offset = fn.__code__.co_firstlineno - 1
         fndef = next(
@@ -368,16 +509,22 @@ class _Extractor(ast.NodeVisitor):
             None,
         )
         if fndef is None:
-            ir.analyzable = False
             return
+        self.parsed = True
         params = [arg.arg for arg in fndef.args.args]
         if self_kind is not None and params and params[0] == "self":
             self.kinds[params[0]] = self_kind
+            self.locs[params[0]] = (self_kind[1], "")
+            self._label(self_kind[1], type(live[self_kind[1]]).__name__.lower())
             params = params[1:]
         for name, kind in zip(params, param_kinds):
             self.kinds[name] = kind
         for name in params[len(param_kinds):]:
             self.kinds[name] = ("unknown",)
+        self.locs.update(zip(params, arg_locs))
+        for name, loc in (kw_locs or {}).items():
+            if name in params:
+                self.locs[name] = loc
         for stmt in fndef.body:
             self.visit(stmt)
 
@@ -389,31 +536,230 @@ class _Extractor(ast.NodeVisitor):
     def _register(self, value: Any) -> None:
         self.live[id(value)] = value
 
+    def _free_value(self, name: str) -> Any:
+        """Live value of a free name: closure, then globals."""
+        closure = self.fn.__closure__ or ()
+        for var, cell in zip(self.fn.__code__.co_freevars, closure):
+            if var == name:
+                try:
+                    return cell.cell_contents
+                except ValueError:
+                    return _MISSING
+        return self.fn.__globals__.get(name, _MISSING)
+
     def resolve_name(self, name: str) -> tuple:
         """Kind of a bare name: locals, then closure, then globals."""
         if name in self.kinds:
             return self.kinds[name]
-        closure = self.fn.__closure__ or ()
-        freevars = self.fn.__code__.co_freevars
-        for var, cell in zip(freevars, closure):
-            if var == name:
-                try:
-                    value = cell.cell_contents
-                except ValueError:
-                    return ("unknown",)
-                kind = _classify_live(value, name)
-                self._register(value)
-                return kind
-        if name in self.fn.__globals__:
-            value = self.fn.__globals__[name]
-            kind = _classify_live(value, name)
+        value = self._free_value(name)
+        if value is not _MISSING:
             self._register(value)
-            return kind
-        import builtins
-
+            return _classify_live(value, name)
         if hasattr(builtins, name):
             return ("callable", getattr(builtins, name), name)
         return ("unknown",)
+
+    # -- conformance facts -------------------------------------------
+
+    def _label(self, root: Any, name: str) -> None:
+        self.cf.labels.setdefault(root, name)
+
+    def _lookup(self, name: str) -> Any:
+        """Live value of a free name, in-body imports first."""
+        if name in self.imports:
+            return self.imports[name]
+        return self._free_value(name)
+
+    def _name_loc(self, name: str) -> Optional[tuple]:
+        """Conformance location a bare name denotes, if it is state."""
+        if name in self.locs:
+            return self.locs[name]
+        if name in self.kinds:
+            return None
+        value = self._lookup(name)
+        if value is _MISSING:
+            return None
+        if _classify_live(value, name)[0] in ("module", "callable"):
+            return None
+        self._label(id(value), name)
+        return (id(value), "")
+
+    def _loc(self, node: ast.AST) -> Optional[tuple]:
+        """``(root, field)`` of the live state an expression reaches."""
+        if isinstance(node, ast.Name):
+            return self._name_loc(node.id)
+        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+            base = self._loc(node.value)
+            if base is None or base[1] or not isinstance(node, ast.Attribute):
+                return base
+            return (base[0], node.attr)
+        return None
+
+    def _read(self, loc: Optional[tuple], node: ast.AST) -> None:
+        if loc is not None and not self._in_target:
+            self.cf.effects.append(
+                Effect(loc[0], loc[1], is_write=False, line=self._line(node))
+            )
+
+    def _write(self, loc: tuple, node: ast.AST, reduction: bool) -> None:
+        if loc[0] == CELL_ROOT:
+            self.cf.rebinds.append((loc[1], self._line(node)))
+        self.cf.effects.append(
+            Effect(
+                loc[0],
+                loc[1],
+                is_write=True,
+                reduction=reduction,
+                in_loop=self.loop_depth > 0,
+                line=self._line(node),
+            )
+        )
+
+    def _block_escape(self, what: str, node: ast.AST) -> None:
+        self.cf.block_escapes.append((what, self._line(node)))
+
+    def _opaque(self, name: str, node: ast.AST) -> None:
+        self.cf.opaque_calls.append(HelperCall(name, self._line(node)))
+
+    def _staged(self, name: str) -> None:
+        """A staged-helper call: its argument reads read staged copies."""
+        self.cf.staged_helpers.add(name)
+        effects = self.cf.effects
+        for index in range(*self._window):
+            if not effects[index].is_write:
+                effects[index] = replace(effects[index], staged=True)
+
+    def _peek(self, node: ast.AST) -> tuple:
+        """Node/block kind of a target holder, without recording."""
+        if isinstance(node, ast.Name):
+            return self.kinds.get(node.id, ("unknown",))
+        if isinstance(node, ast.Subscript):
+            holder = self._peek(node.value)
+            if holder[0] == "nodeseq":
+                return ("node", holder[1])
+        return ("unknown",)
+
+    def _target_loc(self, node: ast.AST) -> Optional[tuple]:
+        """Where a store into ``node`` lands, for the conformance view."""
+        if isinstance(node, ast.Subscript):
+            return self._target_loc(node.value)
+        if isinstance(node, ast.Name):
+            if node.id in self.cells:
+                return (CELL_ROOT, node.id)
+            holder = self._peek(node)
+        elif isinstance(node, ast.Attribute):
+            holder = self._peek(node.value)
+        else:
+            return (OPAQUE_ROOT, ast.dump(node)[:60])
+        if holder[0] == "node":
+            return (NODE_ROOT, "")
+        if holder[0] in ("nodeseq", "view"):
+            return _BLOCK
+        return self._loc(node)
+
+    def _note_store(self, target: ast.AST, stmt: ast.AST, reduction: bool) -> None:
+        loc = self._target_loc(target)
+        if loc == _BLOCK:
+            self._block_escape("writes into a dispatcher block argument", stmt)
+        elif loc is not None:
+            self._write(loc, stmt, reduction)
+        self._note_retention(getattr(stmt, "value", None), stmt)
+
+    def _note_retention(self, value: Optional[ast.AST], stmt: ast.AST) -> None:
+        """A block reference (not a value derived from it) stored away."""
+        if isinstance(value, ast.Name):
+            if self.kinds.get(value.id, ("",))[0] in ("nodeseq", "view"):
+                self._block_escape(
+                    f"retains block argument {value.id!r} beyond the dispatch",
+                    stmt,
+                )
+        elif isinstance(value, (ast.Tuple, ast.List, ast.Set)):
+            for element in value.elts:
+                self._note_retention(element, stmt)
+        elif isinstance(value, ast.Dict):
+            for element in value.values:
+                self._note_retention(element, stmt)
+        elif isinstance(value, ast.Starred):
+            self._note_retention(value.value, stmt)
+
+    def _module_rooted(self, node: ast.AST) -> bool:
+        """True when a dotted chain bottoms out in a module."""
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return False
+        if node.id in PURE_MODULES:
+            return True
+        if node.id in self.kinds:
+            return self.kinds[node.id][0] == "module"
+        return isinstance(self._lookup(node.id), types.ModuleType)
+
+    def _note_unfollowed_call(self, target: Any, name: str, node: ast.AST) -> None:
+        """Conformance view of a call target the walk did not enter."""
+        if getattr(target, "__conformance_staged__", False):
+            self._staged(getattr(target, "__name__", name))
+            return
+        if getattr(target, "__conformance_pure__", False) or isinstance(target, type):
+            return
+        if not isinstance(getattr(target, "__func__", target), types.FunctionType):
+            module = getattr(target, "__module__", "") or ""
+            if module.split(".")[0] in PURE_MODULES:
+                return
+        self._opaque(name, node)
+
+    def _note_named_call(self, name: str, node: ast.AST) -> None:
+        if name in PURE_BUILTINS or name in FRESH_CONSTRUCTORS:
+            return
+        if name in self.kinds:
+            kind = self.kinds[name]
+            if kind[0] == "callable":
+                self._note_unfollowed_call(kind[1], name, node)
+            elif self._name_loc(name) is not None:
+                self._opaque(name, node)
+            return
+        value = self._lookup(name)
+        kind = ("unknown",) if value is _MISSING else _classify_live(value, name)
+        if kind[0] == "callable":
+            self._note_unfollowed_call(value, name, node)
+        elif kind[0] != "module":
+            self._opaque(name, node)  # unresolved, or calling a state object
+
+    def _note_method_call(
+        self, func: ast.Attribute, node: ast.Call, base: tuple
+    ) -> None:
+        attr = func.attr
+        mutating = attr in KNOWN_MUTATING_METHODS
+        pure = attr in PURE_VALUE_METHODS
+        if base[0] == "node":
+            self.cf.node_reads.add(attr)
+            if mutating:
+                self._write((NODE_ROOT, ""), node, False)
+            return
+        if base[0] == "view" and attr == "column":
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    self.cf.node_reads.add(arg.value)
+            return
+        if base[0] in ("nodeseq", "view"):
+            if mutating:
+                self._block_escape(f"mutates its block argument via .{attr}()", node)
+            elif not pure:
+                self._opaque(attr, node)
+            return
+        loc = self._loc(func.value)
+        if loc is not None:
+            bound = getattr(self.live.get(loc[0]), attr, None) if not loc[1] else None
+            if isinstance(getattr(bound, "__func__", bound), types.FunctionType):
+                self._note_unfollowed_call(bound, attr, node)
+            elif mutating:
+                self._write(loc, node, False)
+            elif not pure:
+                self._opaque(attr, node)
+            return
+        if base[0] != "pyobject" and not pure and not mutating:
+            # A fresh container may do anything to itself; any other
+            # value's unknown method is an unknown effect.
+            self._opaque(attr, node)
 
     # -- expression evaluation ---------------------------------------
 
@@ -432,6 +778,9 @@ class _Extractor(ast.NodeVisitor):
         return ("scalar",)
 
     def _eval_Name(self, node: ast.Name) -> tuple:
+        loc = self._name_loc(node.id)
+        if loc is not None and not loc[1]:
+            self._read(loc, node)
         return self.resolve_name(node.id)
 
     def _eval_Tuple(self, node: ast.Tuple) -> tuple:
@@ -467,7 +816,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _comp_kind(self, node) -> tuple:
         """Comprehensions: bind targets from the iterable, eval elt."""
-        saved = dict(self.kinds)
+        saved = dict(self.kinds), dict(self.locs)
         for comp in node.generators:
             iter_kind = self._eval(comp.iter)
             self._bind_target(comp.target, self._element_kind(iter_kind))
@@ -478,7 +827,7 @@ class _Extractor(ast.NodeVisitor):
             elt_kind = self._eval(node.value)
         else:
             elt_kind = self._eval(node.elt)
-        self.kinds = saved
+        self.kinds, self.locs = saved
         return elt_kind
 
     def _eval_ListComp(self, node: ast.ListComp) -> tuple:
@@ -584,8 +933,11 @@ class _Extractor(ast.NodeVisitor):
     def _eval_Attribute(self, node: ast.Attribute) -> tuple:
         base = self._eval(node.value)
         attr = node.attr
+        self._read(self._loc(node), node)
         if base[0] == "node":
             self.ir.attr_reads.add((base[1], attr))
+            if not self._in_target:
+                self.cf.node_reads.add(attr)
             return ("gather", base[1], attr)
         if base[0] == "state":
             obj = self.live.get(base[1], _MISSING)
@@ -689,14 +1041,29 @@ class _Extractor(ast.NodeVisitor):
 
     def _eval_Call(self, node: ast.Call) -> tuple:
         func = node.func
+        start = len(self.cf.effects)
         arg_kinds = [self._eval(arg) for arg in node.args]
         for keyword in node.keywords:
             self._eval(keyword.value)
-
-        if isinstance(func, ast.Name):
-            return self._call_named(func.id, node, arg_kinds)
-        if isinstance(func, ast.Attribute):
-            return self._call_method(func, node, arg_kinds)
+        outer_window = self._window
+        self._window = (start, len(self.cf.effects))
+        try:
+            if isinstance(func, ast.Name):
+                self._followed = False
+                kind = self._call_named(func.id, node, arg_kinds)
+                if not self._followed:
+                    self._note_named_call(func.id, node)
+                return kind
+            if isinstance(func, ast.Attribute):
+                rooted = self._module_rooted(func.value)
+                base = self._eval(func.value)
+                self._followed = False
+                kind = self._call_method(func, node, arg_kinds, base)
+                if not self._followed and not rooted:
+                    self._note_method_call(func, node, base)
+                return kind
+        finally:
+            self._window = outer_window
         self.ir.unknown_helpers.append(HelperCall("<dynamic call>", self._line(node)))
         return ("unknown",)
 
@@ -716,9 +1083,8 @@ class _Extractor(ast.NodeVisitor):
         return self._dispatch_kind(kind, name, node, arg_kinds)
 
     def _call_method(
-        self, func: ast.Attribute, node: ast.Call, arg_kinds: list
+        self, func: ast.Attribute, node: ast.Call, arg_kinds: list, base: tuple
     ) -> tuple:
-        base = self._eval(func.value)
         attr = func.attr
         if base[0] == "view":
             if attr == "column":
@@ -744,9 +1110,9 @@ class _Extractor(ast.NodeVisitor):
             )
             return ("unknown",)
         if base[0] in ("array", "column", "gather", "rankvec", "nodeseq"):
-            if attr in _PURE_VALUE_METHODS:
+            if attr in PURE_VALUE_METHODS:
                 return ("data",)
-            if attr in ("fill", "sort", "put", "setfield", "resize"):
+            if attr in _ARRAY_MUTATORS:
                 label = base[1] if base[0] == "array" else str(base[1])
                 self.ir.array_accesses.append(
                     ArrayAccess(
@@ -784,6 +1150,12 @@ class _Extractor(ast.NodeVisitor):
             self.ir.object_uses.append(
                 ObjectUse(f"method {attr}() on {base[1]}", self._line(node))
             )
+            # Appending nodes to a fresh list makes it a node block.
+            nodes = [k for k in arg_kinds if k[0] in ("node", "nodeseq")]
+            if nodes and isinstance(func.value, ast.Name) and attr in (
+                "append", "extend", "insert", "add"
+            ):
+                self.kinds[func.value.id] = ("nodeseq", nodes[0][1])
             return ("unknown",)
         if base[0] == "callable":
             return ("unknown",)
@@ -852,29 +1224,54 @@ class _Extractor(ast.NodeVisitor):
         self_kind: Optional[tuple] = None,
     ) -> tuple:
         name = getattr(target, "__name__", "<fn>")
+        self._followed = True
+        marked = getattr(target, "__conformance_pure__", False)
+        if getattr(target, "__conformance_staged__", False):
+            self._staged(name)
+            marked = True
         if self.depth >= _MAX_DEPTH:
             self.ir.unknown_helpers.append(HelperCall(name, self._line(node)))
+            if not marked:
+                self._opaque(name, node)
             return ("unknown",)
-        key = (target.__code__, tuple(k[0] for k in arg_kinds))
-        if key in self.memo:
+        typed_key = (target.__code__, tuple(k[0] for k in arg_kinds))
+        arg_locs = tuple(self._loc(arg) for arg in node.args)
+        kw_locs = {kw.arg: self._loc(kw.value) for kw in node.keywords if kw.arg}
+        cf_key = typed_key + (
+            arg_locs,
+            tuple(sorted(kw_locs.items())),
+            self_kind[1] if self_kind else None,
+        )
+        walk_typed = self.typed and typed_key not in self.memo
+        walk_cf = not (self.muted or marked) and cf_key not in self.memo
+        if not (walk_typed or walk_cf):
             return ("data",)
-        self.memo.add(key)
+        if walk_typed:
+            self.memo.add(typed_key)
+        if walk_cf:
+            self.memo.add(cf_key)
         sub = _Extractor(
-            self.ir,
+            self.ir if walk_typed else KernelIR(role=self.ir.role),
             target,
             tuple(arg_kinds),
             self.live,
+            self.cf if walk_cf else Conformance(),
             self_kind=self_kind,
             depth=self.depth + 1,
             loop_depth=self.loop_depth,
             memo=self.memo,
+            typed=walk_typed,
+            muted=not walk_cf,
+            arg_locs=arg_locs,
+            kw_locs=kw_locs,
         )
-        if not self.ir.analyzable:
+        if not sub.parsed:
             # Helper source unavailable: record, but do not poison the
             # whole kernel — the caller's body was parseable.
-            self.ir.analyzable = True
-            self.ir.unknown_helpers.append(HelperCall(name, self._line(node)))
-        del sub
+            if walk_typed:
+                self.ir.unknown_helpers.append(HelperCall(name, self._line(node)))
+            if walk_cf:
+                self.cf.sourceless.append(name)
         return ("data",)
 
     def _dispatch_bound_method(
@@ -939,13 +1336,17 @@ class _Extractor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         value_kind = self._eval(node.value)
         for target in node.targets:
-            self._store(target, value_kind, node, reduction=False, aug=False)
+            self._store(
+                target, value_kind, node, reduction=False, aug=False, value=node.value
+            )
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is None:
             return
         value_kind = self._eval(node.value)
-        self._store(node.target, value_kind, node, reduction=False, aug=False)
+        self._store(
+            node.target, value_kind, node, reduction=False, aug=False, value=node.value
+        )
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._eval(node.value)
@@ -961,15 +1362,20 @@ class _Extractor(ast.NodeVisitor):
         node: ast.AST,
         reduction: bool,
         aug: bool,
+        value: Optional[ast.AST] = None,
     ) -> None:
+        """Record a store; ``value`` is the stored expression, if known."""
         line = self._line(node)
         if isinstance(target, ast.Name):
+            if target.id in self.cells:
+                self._write((CELL_ROOT, target.id), node, reduction and aug)
             if target.id in self.fn.__code__.co_freevars:
                 self.ir.object_uses.append(
                     ObjectUse(f"rebinds captured variable {target.id!r}", line)
                 )
                 return
             self.kinds[target.id] = value_kind
+            self.locs[target.id] = None if value is None else self._loc(value)
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             kinds = (
@@ -977,17 +1383,30 @@ class _Extractor(ast.NodeVisitor):
                 if value_kind[0] == "tuple" and len(value_kind[1]) == len(target.elts)
                 else tuple(("unknown",) for _ in target.elts)
             )
-            for elt, kind in zip(target.elts, kinds):
-                self._store(elt, kind, node, reduction=False, aug=False)
+            values = (
+                value.elts
+                if isinstance(value, (ast.Tuple, ast.List))
+                and len(value.elts) == len(target.elts)
+                else [None] * len(target.elts)
+            )
+            for elt, kind, elt_value in zip(target.elts, kinds, values):
+                self._store(
+                    elt, kind, node, reduction=False, aug=False, value=elt_value
+                )
             return
         if isinstance(target, ast.Starred):
             self._store(target.value, ("unknown",), node, reduction=False, aug=False)
             return
-        if isinstance(target, ast.Attribute):
-            self._store_attribute(target, node, reduction, aug)
-            return
-        if isinstance(target, ast.Subscript):
-            self._store_subscript(target, node, reduction)
+        if isinstance(target, (ast.Attribute, ast.Subscript)):
+            self._note_store(target, node, reduction and aug)
+            # The store target is written, not read: its base and index
+            # are evaluated for the typed facts only.
+            self._in_target += 1
+            if isinstance(target, ast.Attribute):
+                self._store_attribute(target, node, reduction, aug)
+            else:
+                self._store_subscript(target, node, reduction)
+            self._in_target -= 1
             return
         self.ir.untyped.append(("unresolvable store target", line))
 
@@ -1087,6 +1506,7 @@ class _Extractor(ast.NodeVisitor):
     def _bind_target(self, target: ast.AST, kind: tuple) -> None:
         if isinstance(target, ast.Name):
             self.kinds[target.id] = kind
+            self.locs.pop(target.id, None)
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             kinds = (
@@ -1139,6 +1559,25 @@ class _Extractor(ast.NodeVisitor):
             self.visit(stmt)
         for stmt in node.finalbody:
             self.visit(stmt)
+
+    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
+        self.cells.update(node.names)
+
+    visit_Global = visit_Nonlocal
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            name = alias.name if alias.asname else alias.name.split(".")[0]
+            module = _import(name)
+            if module is not None:
+                self.imports[alias.asname or name] = module
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = _import(node.module) if node.module and not node.level else None
+        for alias in node.names if module is not None else ():
+            value = getattr(module, alias.name, _MISSING)
+            if value is not _MISSING:
+                self.imports[alias.asname or alias.name] = value
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         # A nested def is a closure the compiled loop cannot have.
@@ -1243,12 +1682,12 @@ def _combine_binop(
 
 
 def extract_kernel_ir(fn: Any, role: str) -> KernelIR:
-    """Extract the typed IR of one live kernel function.
+    """Extract the IR of one live kernel function.
 
     ``role`` must be a key of :data:`ROLE_PARAM_KINDS`; it fixes the
     kinds the kernel's positional parameters are bound to.  A kernel
     whose source cannot be fetched yields ``analyzable=False`` (the
-    lowerability pass turns that into TW200).
+    passes turn that into TW100/TW200/TW300).
     """
     if role not in ROLE_PARAM_KINDS:
         raise ValueError(f"unknown kernel role {role!r}")
@@ -1265,5 +1704,91 @@ def extract_kernel_ir(fn: Any, role: str) -> KernelIR:
     if not isinstance(target, types.FunctionType):
         ir.analyzable = False
         return ir
-    _Extractor(ir, target, ROLE_PARAM_KINDS[role], live, self_kind=self_kind)
+    ir.analyzable = _Extractor(
+        ir, target, ROLE_PARAM_KINDS[role], live, ir.conformance, self_kind=self_kind
+    ).parsed
     return ir
+
+
+# --------------------------------------------------------------------
+# One extraction per kernel family
+# --------------------------------------------------------------------
+
+#: The kernel roles the spec-level passes read: exactly the kernels
+#: :func:`spec_cache_key` is built from.
+SPEC_ROLES = (
+    "work",
+    "work_batch",
+    "work_batch_soa",
+    "truncate_inner2",
+    "truncate_inner2_batch",
+)
+
+#: spec_cache_key -> {role: KernelIR}.  Holds no live objects: effect
+#: roots are ``id()`` integers, every other fact is a string or number.
+_IR_CACHE: dict[tuple, dict[str, KernelIR]] = {}
+
+
+def _kernel_cache_key(fn: Any) -> object:
+    if fn is None:
+        return None
+    fn0 = getattr(fn, "__func__", fn)
+    code = getattr(fn0, "__code__", None)
+    if code is None:
+        return ("opaque", type(fn).__name__)
+    cells = []
+    closure = getattr(fn0, "__closure__", None) or ()
+    for name, cell in zip(code.co_freevars, closure):
+        try:
+            value = cell.cell_contents
+        except ValueError:  # pragma: no cover - unfilled cell
+            cells.append((name, None))
+            continue
+        inner = getattr(value, "__func__", value)
+        inner_code = getattr(inner, "__code__", None)
+        cells.append(
+            (name, inner_code if inner_code is not None else type(value).__name__)
+        )
+    return (code, tuple(cells))
+
+
+def spec_cache_key(spec: Any) -> tuple:
+    """Key of a spec's kernel family: code objects plus closure shapes.
+
+    Fresh specs from one factory (new closures, same code) share a key;
+    so do the parallel runtime's task specs (same kernels, new roots).
+    """
+    return (
+        _kernel_cache_key(spec.work),
+        _kernel_cache_key(spec.work_batch),
+        _kernel_cache_key(spec.work_batch_soa),
+        _kernel_cache_key(spec.truncate_inner2),
+        _kernel_cache_key(spec.truncate_inner2_batch),
+        bool(spec.truncation_observes_work),
+    )
+
+
+def spec_kernel_irs(spec: Any, use_cache: bool = True) -> dict[str, KernelIR]:
+    """The IR of every :data:`SPEC_ROLES` kernel the spec defines.
+
+    Extracted once per kernel family and shared by the conformance,
+    lowerability and locality passes; ``use_cache=False`` extracts
+    afresh (and leaves the cache alone).  The passes must treat the
+    returned IRs as read-only.
+    """
+    key = spec_cache_key(spec) if use_cache else None
+    if key is not None and key in _IR_CACHE:
+        return _IR_CACHE[key]
+    irs = {
+        role: extract_kernel_ir(getattr(spec, role), role)
+        for role in SPEC_ROLES
+        if getattr(spec, role, None) is not None
+    }
+    if key is not None:
+        _IR_CACHE[key] = irs
+    return irs
+
+
+def clear_ir_cache() -> None:
+    """Drop every cached kernel IR (each pass's ``clear_cache`` calls this)."""
+    _IR_CACHE.clear()

@@ -61,7 +61,9 @@ from repro.transform.lint.kernel_ir import (
     AFFINE,
     GATHER,
     KernelIR,
-    extract_kernel_ir,
+    clear_ir_cache,
+    spec_cache_key,
+    spec_kernel_irs,
 )
 
 __all__ = [
@@ -580,15 +582,14 @@ _REPORT_CACHE: dict[tuple, tuple[Any, LocalityReport]] = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized locality reports (tests, mutation harnesses)."""
+    """Drop memoized locality reports and the shared kernel IR."""
     _REPORT_CACHE.clear()
+    clear_ir_cache()
 
 
 def _cache_key(spec: NestedRecursionSpec, model: CacheModel) -> tuple:
-    from repro.transform.lint.backend import _spec_cache_key
-
     return (
-        _spec_cache_key(spec),
+        spec_cache_key(spec),
         id(spec.outer_root),
         id(spec.inner_root),
         model,
@@ -616,11 +617,12 @@ def lint_locality(
         root_ref, cached = _REPORT_CACHE[key]
         if root_ref is None or root_ref() is spec.outer_root:
             return cached
-    irs: dict[str, tuple[Any, KernelIR]] = {}
-    for role in _FOOTPRINT_ROLES:
-        fn = getattr(spec, role, None)
-        if fn is not None:
-            irs[role] = (fn, extract_kernel_ir(fn, role))
+    shared = spec_kernel_irs(spec, use_cache=use_cache)
+    irs: dict[str, tuple[Any, KernelIR]] = {
+        role: (getattr(spec, role), shared[role])
+        for role in _FOOTPRINT_ROLES
+        if role in shared
+    }
     sink = DiagnosticSink()
     footprint, footprint_detail = _infer_footprint(spec, irs, sink)
     reuse, reuse_detail = _infer_reuse(spec, sink)

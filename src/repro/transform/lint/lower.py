@@ -50,7 +50,9 @@ from repro.transform.lint.kernel_ir import (
     SLICE,
     UNKNOWN,
     KernelIR,
-    extract_kernel_ir,
+    clear_ir_cache,
+    spec_cache_key,
+    spec_kernel_irs,
 )
 
 __all__ = [
@@ -571,14 +573,13 @@ _REPORT_CACHE: dict[tuple, tuple[Any, LowerReport]] = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized lowerability reports (tests, mutation harnesses)."""
+    """Drop memoized lowerability reports and the shared kernel IR."""
     _REPORT_CACHE.clear()
+    clear_ir_cache()
 
 
 def _cache_key(spec: NestedRecursionSpec) -> tuple:
-    from repro.transform.lint.backend import _spec_cache_key
-
-    return (_spec_cache_key(spec), id(spec.outer_root), id(spec.inner_root))
+    return (spec_cache_key(spec), id(spec.outer_root), id(spec.inner_root))
 
 
 def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport:
@@ -594,12 +595,9 @@ def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport
         root_ref, cached = _REPORT_CACHE[key]
         if root_ref is None or root_ref() is spec.outer_root:
             return cached
-    irs: dict[str, KernelIR] = {}
     roles = set(_INDEPENDENCE_ROLES) | set(_LOWER_ROLES)
-    for role in sorted(roles):
-        fn = getattr(spec, role, None)
-        if fn is not None:
-            irs[role] = extract_kernel_ir(fn, role)
+    shared = spec_kernel_irs(spec, use_cache=use_cache)
+    irs = {role: shared[role] for role in sorted(roles) if role in shared}
     sink = DiagnosticSink()
     preconditions: list[str] = []
     lower_verdict, lower_reason = _lowerability_pass(spec, irs, sink)

@@ -271,15 +271,19 @@ class TestConformanceErrorObservability:
         self._crash_analyzer(monkeypatch)
         with pytest.warns(RuntimeWarning, match="analyzer failed"):
             choice = choose_backend(make_tj(200).make_spec())
-        # Selection proceeded structurally, and the evidence gap is on
-        # the record instead of silently absent.
+        # A crash proves nothing: the vectorized pick is refused, and
+        # the evidence gap is on the record instead of silently absent.
         assert "analyzer exploded" in choice.features["conformance_error"]
+        assert choice.backend == "recursive"
+        assert "conformance" in choice.reason
+        assert "analyzer exploded" in choice.reason
         # One-shot: the second selection must not warn again.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             second = choose_backend(make_tj(200).make_spec())
         assert [w for w in caught if w.category is RuntimeWarning] == []
         assert "conformance_error" in second.features
+        assert second.backend == "recursive"
 
     def test_clean_runs_record_no_error(self):
         choice = choose_backend(make_tj(200).make_spec())

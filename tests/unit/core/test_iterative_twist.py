@@ -1,4 +1,4 @@
-"""Unit tests for the explicit-stack twisted executor."""
+"""Unit tests for the explicit-stack (batched) twisted executor."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.core import (
     WorkRecorder,
     combine,
     run_twisted,
-    run_twisted_iterative,
+    run_twisted_batched,
 )
 from repro.spaces import list_tree, paper_inner_tree, paper_outer_tree, random_tree
 
@@ -24,7 +24,9 @@ def parity_check(spec, **kwargs):
         **kwargs,
     )
     iterative = (WorkRecorder(), AccessTraceRecorder(), OpCounter())
-    run_twisted_iterative(spec, instrument=combine(*iterative), **kwargs)
+    run_twisted_batched(
+        spec, instrument=combine(*iterative), subtree_truncation=False, **kwargs
+    )
     assert iterative[0].points == recursive[0].points
     assert iterative[1].trace == recursive[1].trace
     assert iterative[2].counts == recursive[2].counts
@@ -69,7 +71,7 @@ class TestDeepSpaces:
         # without dangerous recursion limits.
         spec = NestedRecursionSpec(list_tree(20_000), list_tree(3))
         ops = OpCounter()
-        run_twisted_iterative(spec, instrument=ops)
+        run_twisted_batched(spec, instrument=ops)
         assert ops.work_points == 60_000
 
     def test_results_correct_on_deep_trees(self):
@@ -77,5 +79,5 @@ class TestDeepSpaces:
 
         tj = TreeJoin(2000, 5)
         # Rebuild the outer tree as a degenerate list for depth.
-        run_twisted_iterative(tj.make_spec())
+        run_twisted_batched(tj.make_spec())
         assert tj.result == tj.expected_total()

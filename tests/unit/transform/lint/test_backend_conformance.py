@@ -23,9 +23,9 @@ import pytest
 
 from repro.core.spec import NestedRecursionSpec
 from repro.spaces.trees import balanced_tree
-from repro.transform.lint import SpecVerdict, analyze_kernel, lint_spec
+from repro.transform.lint import SpecVerdict, lint_spec
 from repro.transform.lint.backend import SCHEMA_VERSION, clear_cache
-from repro.transform.lint.diagnostics import DiagnosticSink
+from repro.transform.lint.kernel_ir import NODE_ROOT, extract_kernel_ir
 
 
 @pytest.fixture(autouse=True)
@@ -386,17 +386,22 @@ class TestReportShape:
         by_role = {k.role: k for k in report.kernels}
         assert by_role["work"].analyzable
         assert "pairs" in {
-            label for (_root, label) in by_role["work"].write_keys()
+            field for (_root, field) in by_role["work"].conformance.write_keys()
         }
+        assert "acc.pairs" in report.kernel_writes(by_role["work"])
+        (work_json,) = [
+            k for k in report.to_json()["kernels"] if k["role"] == "work"
+        ]
+        assert work_json["writes"] == ["acc.pairs", "acc.total"]
 
     def test_analyze_kernel_standalone(self):
         def work(o, i):
             o.data = o.data + i.data
 
-        sink = DiagnosticSink()
-        footprint = analyze_kernel(work, "work", sink, {})
-        assert footprint.analyzable
-        assert sink.diagnostics == []
+        facts = extract_kernel_ir(work, "work").conformance
+        assert facts.write_keys() == {(NODE_ROOT, "")}
+        assert facts.node_reads == {"data"}
+        assert facts.opaque_calls == [] and facts.block_escapes == []
 
     def test_verdict_enum_strings(self):
         assert str(SpecVerdict.BATCH_SAFE) == "batch-safe"

@@ -1,12 +1,20 @@
-"""Unit tests for the typed kernel IR extractor."""
+"""Unit tests for the kernel IR extractor and its per-family cache."""
+
+import dataclasses
+import gc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.transform.lint import kernel_ir
 from repro.transform.lint.kernel_ir import (
     AFFINE,
+    CELL_ROOT,
     GATHER,
     MASK,
+    NODE_ROOT,
     SLICE,
     UNKNOWN,
     extract_kernel_ir,
@@ -263,3 +271,218 @@ class TestMiscFacts:
         assert payload["role"] == "work"
         assert payload["analyzable"] is True
         assert any("gather" in line for line in payload["array_accesses"])
+
+
+# ---------------------------------------------------------------------------
+# Conformance facts (the TW1xx passes compare these across kernels)
+
+
+def _staged_copy(values):
+    return values
+
+
+_staged_copy.__conformance_staged__ = True
+
+
+class _Rules:
+    def __init__(self):
+        self.total = 0.0
+        self.scale = 2.0
+
+    def add(self, o, i):
+        self.total += o.data * self.scale
+
+
+class TestConformanceFacts:
+    def test_state_is_keyed_by_live_identity(self):
+        """``acc`` in a closure and ``self`` in a bound method of the
+        same object name the same location."""
+        rules = _Rules()
+        acc = rules
+
+        def work(o, i):
+            acc.total += o.data
+
+        closure = extract_kernel_ir(work, "work").conformance
+        method = extract_kernel_ir(rules.add, "work").conformance
+        assert closure.write_keys() == method.write_keys() == {
+            (id(rules), "total")
+        }
+        assert (id(rules), "scale") in method.state_reads()
+
+    def test_writes_carry_reduction_and_loop_flags(self):
+        acc = _Rules()
+
+        def work_batch(os, is_):
+            acc.scale = len(os)
+            for o in os:
+                acc.total += o.data
+
+        effects = [
+            e for e in extract_kernel_ir(work_batch, "work_batch").conformance.effects
+            if e.is_write
+        ]
+        by_field = {e.field: e for e in effects}
+        assert not by_field["scale"].in_loop and not by_field["scale"].reduction
+        assert by_field["total"].in_loop and by_field["total"].reduction
+
+    def test_block_escapes_and_rebinds(self):
+        acc = _Rules()
+        calls = 0
+
+        def work_batch(os, is_):
+            nonlocal calls
+            calls += 1
+            acc.last = os
+            is_.clear()
+
+        facts = extract_kernel_ir(work_batch, "work_batch").conformance
+        assert [name for name, _line in facts.rebinds] == ["calls"]
+        assert (CELL_ROOT, "calls") in facts.write_keys()
+        escapes = " | ".join(what for what, _line in facts.block_escapes)
+        assert "retains block argument 'os'" in escapes
+        assert ".clear()" in escapes
+
+    def test_staged_arguments_are_not_state_reads(self):
+        from repro.dualtree import batch
+
+        acc = _Rules()
+
+        def opaque_helper(os, is_):
+            acc.total += _staged_copy(acc.scale)
+
+        def followed_helper(os, is_):
+            # A repro helper the typed walk enters: its marker still
+            # summarizes it for the conformance facts.
+            acc.total += batch.leaf_blocks(acc.scale)
+
+        for kernel, helper in (
+            (opaque_helper, "_staged_copy"),
+            (followed_helper, "leaf_blocks"),
+        ):
+            facts = extract_kernel_ir(kernel, "work_batch").conformance
+            assert facts.staged_helpers == {helper}
+            assert (id(acc), "scale") not in facts.state_reads()
+            assert (id(acc), "total") in facts.state_reads()
+
+    def test_soa_columns_and_node_writes(self):
+        def work_batch_soa(o_view, i_view, o_positions, i_positions):
+            o_view.column("weight")
+
+        def work(o, i):
+            o.data = i.size
+
+        soa = extract_kernel_ir(work_batch_soa, "work_batch_soa").conformance
+        scalar = extract_kernel_ir(work, "work").conformance
+        assert soa.node_reads == {"weight"}
+        assert scalar.node_reads == {"size"}
+        assert scalar.write_keys() == {(NODE_ROOT, "")}
+
+    def test_fresh_list_of_nodes_reads_node_fields(self):
+        acc = _Rules()
+
+        def work_batch(os, is_):
+            picked = []
+            for o in os:
+                picked.append(o)
+            for q in picked:
+                acc.total += q.weight
+
+        facts = extract_kernel_ir(work_batch, "work_batch").conformance
+        assert facts.node_reads == {"weight"}
+
+    def test_unknown_helper_is_opaque(self):
+        def work_batch(os, is_):
+            print(len(os))
+
+        facts = extract_kernel_ir(work_batch, "work_batch").conformance
+        assert [h.name for h in facts.opaque_calls] == ["print"]
+
+
+# ---------------------------------------------------------------------------
+# One extraction per kernel family, shared by every spec-level pass
+
+
+def _lint_all(spec, use_cache=True):
+    from repro.transform.lint.backend import lint_spec
+    from repro.transform.lint.locality import lint_locality
+    from repro.transform.lint.lower import lint_lower
+
+    lint_spec(spec, use_cache=use_cache)
+    lint_lower(spec, use_cache=use_cache)
+    lint_locality(spec, use_cache=use_cache)
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Count ``extract_kernel_ir`` calls per role, on a cold cache."""
+    from repro.transform.lint import backend, locality, lower
+
+    for module in (backend, lower, locality):
+        module.clear_cache()
+    counts: Counter = Counter()
+    real = kernel_ir.extract_kernel_ir
+
+    def counting(fn, role):
+        counts[role] += 1
+        return real(fn, role)
+
+    monkeypatch.setattr(kernel_ir, "extract_kernel_ir", counting)
+    yield counts
+    for module in (backend, lower, locality):
+        module.clear_cache()
+
+
+def _pc_spec():
+    from repro.bench.workloads import make_pc
+
+    return make_pc(256).make_spec()
+
+
+class TestSharedExtraction:
+    def test_one_extraction_per_role_across_all_passes(self, extractions):
+        spec = _pc_spec()
+        _lint_all(spec)
+        roles = {
+            role for role in kernel_ir.SPEC_ROLES if getattr(spec, role) is not None
+        }
+        assert roles == {
+            "work", "work_batch", "truncate_inner2", "truncate_inner2_batch"
+        }
+        assert extractions == Counter({role: 1 for role in roles})
+
+    def test_task_spec_over_another_root_extracts_nothing(self, extractions):
+        spec = _pc_spec()
+        _lint_all(spec)
+        extractions.clear()
+        task = dataclasses.replace(spec, outer_root=spec.outer_root.children[0])
+        _lint_all(task)
+        assert extractions == Counter()
+
+    def test_uncached_runs_and_clear_cache_extract_afresh(self, extractions):
+        from repro.transform.lint import backend, locality, lower
+
+        spec = _pc_spec()
+        _lint_all(spec)
+        extractions.clear()
+        _lint_all(spec, use_cache=False)
+        assert extractions["work"] == 3  # one fresh extraction per pass
+        for module in (backend, lower, locality):
+            extractions.clear()
+            module.clear_cache()
+            _lint_all(spec)
+            assert extractions["work"] == 1, module.__name__
+
+
+class TestNoLiveObjectsRetained:
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_outer_root_dies_with_the_spec(self, use_cache):
+        from repro.bench.workloads import make_pc
+
+        case = make_pc(512)
+        spec = case.make_spec()
+        root = weakref.ref(spec.outer_root)
+        _lint_all(spec, use_cache=use_cache)
+        del spec, case
+        gc.collect()
+        assert root() is None
