@@ -21,7 +21,8 @@ compiled-backend wall-clock payload: ``compiled`` must reach
 :data:`COMPILED_MIN_SPEEDUP` over serial ``soa`` on the lowerable
 regular benchmarks (TJ, MM) when the host has numba and at least two
 cores; without those, the speed check self-reports a skip while
-correctness (``results_match``, no refusal on TJ/MM) always gates.
+correctness (``results_match``, no refusal on TJ/MM) and the choice
+(``auto`` must pick ``compiled`` on TJ/MM) always gate.
 
 A fourth, host-aware gate (:func:`check_serve_floor`) guards the
 serving suite's ``BENCH_serve.json``: every run must stay bit-identical
@@ -50,9 +51,10 @@ DEFAULT_FLOOR = 0.9
 SINGLE_BACKENDS = ("recursive", "batched", "soa", "compiled")
 
 #: Required compiled-over-soa speedup on the lowerable regular
-#: benchmarks.  The compiled backend replaces the per-block dispatch
-#: loop with one fused whole-run kernel over cached position arrays,
-#: so it must clear this bar wherever the hardware can show it.
+#: benchmarks.  The compiled backend replaces the interpreted
+#: traversal and its per-block staging with one fused kernel over
+#: streamed position blocks, so it must clear this bar wherever the
+#: hardware can show it.
 COMPILED_MIN_SPEEDUP = 1.3
 
 #: Benchmarks the compiled floor guards: the two TW20x-``lowerable``
@@ -204,7 +206,9 @@ def check_compiled_floor(
     pure-NumPy fallback on a starved host cannot falsify the jitted
     backend's speed claim.  A compiled *refusal* on a floor benchmark
     is always a violation — TJ/MM regressing below ``lowerable`` must
-    turn the gate red.
+    turn the gate red — and so is an ``auto_choice`` other than
+    ``compiled`` on one: the selector must run a lowerable spec on the
+    fused backend on every host, whatever its core count.
     """
     host = payload.get("host", {})
     if host_cpu_count is None:
@@ -221,6 +225,12 @@ def check_compiled_floor(
             continue
         if entry.get("benchmark") not in COMPILED_FLOOR_BENCHMARKS:
             continue
+        auto_choice = entry.get("auto_choice")
+        if auto_choice is not None and auto_choice != "compiled":
+            violations.append(
+                f"{label}: auto picked {auto_choice!r} on a floor "
+                f"benchmark, not 'compiled' ({entry.get('auto_reason', '')})"
+            )
         timings = entry.get("timings", {})
         compiled_s = timings.get("compiled")
         soa_s = timings.get("soa")

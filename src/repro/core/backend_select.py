@@ -36,7 +36,9 @@ from typing import Optional
 from repro.core.spec import NestedRecursionSpec
 from repro.errors import ScheduleError
 
-#: Backends ``choose_backend`` may return.
+#: The ungated executor families: they run every spec, with no proof
+#: or parallel plan needed.  ``choose_backend`` may also return the
+#: gated ``compiled`` and ``parallel`` backends.
 SINGLE_BACKENDS = ("recursive", "batched", "soa")
 
 #: Every backend name :func:`resolve_backend` accepts besides ``auto``.
@@ -44,8 +46,11 @@ KNOWN_BACKENDS = SINGLE_BACKENDS + ("compiled", "parallel")
 
 #: Minimum (outer x inner) iteration-space points before the real
 #: multi-worker runtime can amortize pool startup and shared-memory
-#: publication.  Calibrated against BENCH_parallel.json: below roughly
-#: a million points the serial SoA backend wins on setup alone.
+#: publication.  Calibrated against *serial soa* in
+#: BENCH_parallel.json: below roughly a million points the serial SoA
+#: backend wins on setup alone.  The fused ``compiled`` backend is
+#: faster than the pool at every size measured, so certified specs
+#: never reach this threshold (see :func:`_choose_backend_uncached`).
 PARALLEL_SPACE_POINTS = 1_000_000
 
 #: Below this many (outer x inner) iteration-space points, per-run
@@ -483,26 +488,31 @@ def _choose_backend_uncached(
     1. **Tiny spaces -> recursive.**  Below ~4K iteration-space points
        every deferred-dispatch engine loses to plain recursion on
        setup cost alone.
-    2. **Huge spaces with a proven-parallel plan -> parallel.**  When
+    2. **Certified SoA work -> compiled, in veb order.**  A regular
+       spec whose ``work_batch_soa`` kernel carries a clean TW20x
+       ``lowerable`` verdict (TJ, MM, Gram) runs the fused backend on
+       every host: the traversal's positions are streamed in blocks
+       (twist's sequence generated once and cached narrow) and the
+       kernel dispatched per block — no per-pair Python on the hot
+       path.  One fused twisted traversal finishes before the process
+       pool has started (the paper's §7.3 spawns tasks only to feed
+       locality-friendly work inside each task), so this rule comes
+       before parallelism.  The gate is proof-carrying: anything short
+       of ``lowerable`` falls through.
+    3. **Huge spaces with a proven-parallel plan -> parallel.**  When
        the spec carries a :class:`~repro.core.parallel_exec.ParallelPlan`,
        the host has multiple cores, the space exceeds
        :data:`PARALLEL_SPACE_POINTS`, and the plan's witness proves
        outer-independence (:func:`~repro.core.parallel_exec.check_outer_independence`
        — the dynamic counterpart of the analyzer's TW030), the real
-       multi-worker runtime wins.  Parallelism is *refused* — never
-       silently selected — when independence is unproven.
-    3. **Stateful truncation -> soa.**  When ``truncateInner2?``
+       multi-worker runtime wins over the serial interpreted backends
+       (PC and NN).  Parallelism is *refused* — never silently
+       selected — when independence is unproven.
+    4. **Stateful truncation -> soa.**  When ``truncateInner2?``
        observes ``work`` (NN/KNN/VP bounds, KDE), the batched engine's
        per-outer barriers shred its blocks (NN regressed to 0.35x);
        the SoA engine executes work inline over packed index space and
        keeps the explicit-stack savings.
-    4. **Certified SoA work -> compiled, in veb order.**  A regular
-       spec whose ``work_batch_soa`` kernel carries a clean TW20x
-       ``lowerable`` verdict (TJ, MM, Gram) runs the fused backend:
-       the traversal's position sequence is enumerated once, cached,
-       and the kernel dispatched over the whole run — no per-block
-       Python on the hot path at all.  The gate is proof-carrying:
-       anything short of ``lowerable`` falls through to rule 5.
     5. **SoA-native work -> soa, in veb order.**  A spec carrying
        ``work_batch_soa`` dispatches integer position blocks —
        strictly less per-pair Python than the node-object dispatcher on
@@ -530,9 +540,6 @@ def _choose_backend_uncached(
             ),
             prior,
         )
-    parallel = _consider_parallel(spec, features)
-    if parallel is not None:
-        return _with_evidence(parallel, prior)
     # The locality prior annotates the order recommendation: "veb" is
     # cited as profitable blocking (TW302) when the working set spans
     # cache levels, or kept as a no-cost default when it already fits
@@ -540,36 +547,41 @@ def _choose_backend_uncached(
     # way.
     veb_verdict = locality.get("layout:veb", "unknown")
     veb_note = f"; locality verdict for layout:veb is {veb_verdict} (TW30x)"
-    if features["is_irregular"] and features["observes_work"]:
+    regular_soa = features["has_work_batch_soa"] and not features["is_irregular"]
+    lowerable = False
+    if regular_soa:
+        lowerable, why, lower_codes = _compiled_eligible(spec)
+        features["lowerable"] = lowerable
+        prior = tuple(prior) + lower_codes
+    parallel = None if lowerable else _consider_parallel(spec, features)
+    if parallel is not None:
+        return _with_evidence(parallel, prior)
+    if lowerable:
+        choice = BackendChoice(
+            "compiled",
+            "TW20x verdict is lowerable: fuse the traversal with "
+            f"the certified work_batch_soa kernel ({why}); veb "
+            f"storage order recommended{veb_note}",
+            features,
+            order="veb",
+        )
+    elif features["is_irregular"] and features["observes_work"]:
         choice = BackendChoice(
             "soa",
             "truncation observes work: barriers would shred deferred "
             "blocks, so run inline work over packed index space",
             features,
         )
-    elif features["has_work_batch_soa"] and not features["is_irregular"]:
-        lowerable, why, lower_codes = _compiled_eligible(spec)
-        features["lowerable"] = lowerable
-        prior = tuple(prior) + lower_codes
-        if lowerable:
-            choice = BackendChoice(
-                "compiled",
-                "TW20x verdict is lowerable: fuse the traversal with "
-                f"the certified work_batch_soa kernel ({why}); veb "
-                f"storage order recommended{veb_note}",
-                features,
-                order="veb",
-            )
-        else:
-            choice = BackendChoice(
-                "soa",
-                "spec provides work_batch_soa: position-block dispatch "
-                "over packed payload columns; veb storage order "
-                "recommended (BENCH_soa: TJ original 0.067s veb vs "
-                f"0.079s preorder); compiled refused ({why}){veb_note}",
-                features,
-                order="veb",
-            )
+    elif regular_soa:
+        choice = BackendChoice(
+            "soa",
+            "spec provides work_batch_soa: position-block dispatch "
+            "over packed payload columns; veb storage order "
+            "recommended (BENCH_soa: TJ original 0.067s veb vs "
+            f"0.079s preorder); compiled refused ({why}){veb_note}",
+            features,
+            order="veb",
+        )
     elif features["has_work_batch_soa"]:
         choice = BackendChoice(
             "soa",

@@ -13,23 +13,28 @@ over typed gathers.
 
 This backend exploits both facts:
 
-* the **traversal** is evaluated once per (trees, schedule kind,
-  storage order, cutoff) into two whole-run ``np.intp`` position
-  arrays — original and interchange orders collapse to
-  ``repeat``/``tile`` expressions, the twist order is produced by the
-  same ``_run_twisted_bulk`` stack machine the SoA backend runs
-  (collected instead of dispatched), so the pair sequence is
-  bit-identical to the SoA backend's emission order;
-* the **kernel** runs once over those arrays, as a fused artifact from
-  :mod:`repro.transform.lower_codegen` (numba-jitted when numba is
-  importable, generated NumPy otherwise), or — when the kernel falls
-  outside the code generator's subset — as a single whole-run dispatch
-  of the original ``work_batch_soa``.
+* the **traversal** is never materialized as whole-run ``np.intp``
+  arrays.  Original and interchange orders are streamed in blocks of
+  :data:`BLOCK_PAIRS` pairs straight from their closed
+  ``repeat``/``tile`` forms over rank space, and nothing is cached for
+  them.  The twist order is produced by the same ``_run_twisted_bulk``
+  stack machine the SoA backend runs (collected instead of
+  dispatched), filled once per (trees, storage order, cutoff) into a
+  preallocated pair of the narrowest unsigned arrays that hold the
+  layout positions (``uint16`` up to 65 536 nodes, ``uint32`` beyond),
+  and cached; either way the pair sequence is bit-identical to the SoA
+  backend's emission order;
+* the **kernel** is dispatched once per block, as a fused artifact
+  from :mod:`repro.transform.lower_codegen` (numba-jitted when numba
+  is importable, generated NumPy otherwise), or — when the kernel
+  falls outside the code generator's subset — as the original
+  ``work_batch_soa``.  Every block reaches it as ``np.intp`` arrays,
+  so the numba leg compiles one signature.
 
-One whole-run dispatch is within the ``work_batch_soa`` contract: the
+Per-block dispatch is within the ``work_batch_soa`` contract: the
 kernel must be equivalent to per-pair ``work`` calls in order for *any*
-block partition, so partitioning into one block is just the coarsest
-legal choice.
+block partition.  A block's two position arrays take 1 MB, so a run's
+temporaries stay bounded whatever the iteration-space size.
 
 Gating is proof-carrying: every entry point re-checks the TW20x
 verdict (cached, so this is cheap) and raises
@@ -42,10 +47,9 @@ delegate to the SoA executors (identical events by construction), so
 
 from __future__ import annotations
 
-import sys
 import weakref
 from collections import OrderedDict
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -68,6 +72,7 @@ from repro.transform.lower_codegen import (
 )
 
 __all__ = [
+    "BLOCK_PAIRS",
     "artifact_info",
     "compiled_artifact",
     "position_cache_info",
@@ -76,6 +81,16 @@ __all__ = [
     "run_twisted_compiled",
     "set_position_cache_limits",
 ]
+
+#: Pairs per kernel dispatch.  Large enough that the per-block Python
+#: (one counted ``repeat``, one slice, one fused call) vanishes against
+#: the gathers; small enough that a block's positions and gathered
+#: payloads stay at 512 KB per array.
+BLOCK_PAIRS = 1 << 16
+
+#: Largest node count whose layout positions fit ``uint16``; bigger
+#: trees cache their twist sequence as ``uint32``.
+UINT16_MAX_NODES = 1 << 16
 
 
 # --------------------------------------------------------------------
@@ -114,10 +129,10 @@ def compiled_artifact(spec: NestedRecursionSpec) -> Optional[FusedKernel]:
     """The fused artifact for this spec family, or None.
 
     ``None`` means the certified kernel falls outside the code
-    generator's subset; the backend then runs the original
-    ``work_batch_soa`` as a single whole-run dispatch (still fused
-    traversal, still one dispatch).  Artifacts bind per call, so one
-    cache entry serves every fresh spec the same benchmark produces.
+    generator's subset; the backend then dispatches the original
+    ``work_batch_soa`` per block (still fused traversal, no per-pair
+    Python).  Artifacts bind per call, so one cache entry serves every
+    fresh spec the same benchmark produces.
     """
     from repro.transform.lint.kernel_ir import spec_cache_key
 
@@ -147,34 +162,111 @@ def artifact_info(spec: NestedRecursionSpec) -> dict:
 
 
 def clear_caches() -> None:
-    """Drop cached artifacts and position arrays (test hook)."""
+    """Drop cached artifacts and twist sequences (test hook)."""
     _ARTIFACTS.clear()
     _POSITIONS.clear()
 
 
 # --------------------------------------------------------------------
-# Whole-run position arrays (per trees x schedule kind x order x cutoff)
+# Position blocks: streamed closed forms, cached narrow twist sequences
 
 
-class _Collector:
-    """A PositionDispatcher stand-in that only accumulates."""
+def _closed_form_blocks(
+    major: np.ndarray, minor: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(repeat(major, m), tile(minor, n))`` cut into fixed blocks.
 
-    __slots__ = ("_os", "_is")
+    The cross product with ``minor`` varying fastest, yielded as
+    ``(major block, minor block)`` pairs of at most
+    :data:`BLOCK_PAIRS` entries.  A block's major side is one counted
+    ``repeat`` over the major nodes it touches; its minor side is a
+    view into a single tiled copy of ``minor`` long enough for any
+    block offset.  Nothing outlives the run.
+    """
+    block = BLOCK_PAIRS
+    n_minor = len(minor)
+    total = len(major) * n_minor
+    tiled = np.tile(minor, -(-(block + n_minor - 1) // n_minor))
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        first, offset = divmod(start, n_minor)
+        last = (stop - 1) // n_minor + 1
+        counts = np.full(last - first, n_minor, dtype=np.intp)
+        counts[0] -= offset
+        counts[-1] -= last * n_minor - stop
+        yield (
+            np.repeat(major[first:last], counts),
+            tiled[offset : offset + stop - start],
+        )
 
-    def __init__(self) -> None:
+
+def _narrow_blocks(
+    rows: np.ndarray, cols: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A cached narrow sequence, widened to ``np.intp`` block by block."""
+    block = BLOCK_PAIRS
+    for start in range(0, len(rows), block):
+        yield (
+            rows[start : start + block].astype(np.intp),
+            cols[start : start + block].astype(np.intp),
+        )
+
+
+def _position_dtype(num_nodes: int) -> type:
+    """The narrowest unsigned dtype holding positions ``0..num_nodes-1``."""
+    return np.uint16 if num_nodes <= UINT16_MAX_NODES else np.uint32
+
+
+class _Filler:
+    """A PositionDispatcher stand-in that copies into preallocated arrays."""
+
+    __slots__ = ("_os", "_is", "rows", "cols", "filled")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray) -> None:
         self._os: list[int] = []
         self._is: list[int] = []
+        self.rows = rows
+        self.cols = cols
+        self.filled = 0
 
-    def flush(self) -> None:  # pragma: no cover - trivially empty
-        pass
+    def flush(self) -> None:
+        end = self.filled + len(self._os)
+        if end > len(self.rows):
+            raise ScheduleError(
+                f"twist emitted more than the {len(self.rows)} pairs of "
+                "its iteration space"
+            )
+        self.rows[self.filled : end] = self._os
+        self.cols[self.filled : end] = self._is
+        self.filled = end
+        del self._os[:]
+        del self._is[:]
+
+
+def _twist_sequence(
+    outer: SoATree, inner: SoATree, cutoff: Optional[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the SoA twist stack machine once into narrow arrays."""
+    total = outer.num_nodes * inner.num_nodes
+    filler = _Filler(
+        np.empty(total, dtype=_position_dtype(outer.num_nodes)),
+        np.empty(total, dtype=_position_dtype(inner.num_nodes)),
+    )
+    _run_twisted_bulk(filler, True, outer, inner, cutoff, BLOCK_PAIRS)
+    if filler.filled != total:
+        raise ScheduleError(
+            f"twist emitted {filler.filled} pairs, but its iteration "
+            f"space has {total}"
+        )
+    return filler.rows, filler.cols
 
 
 _POSITIONS: "OrderedDict[tuple, tuple]" = OrderedDict()
-#: Bounded twice over: each entry holds two O(mn) intp arrays, so an
-#: unbounded cache across a bench sweep — or a resident service that
-#: never exits — would hoard memory.  The entry cap bounds the count,
-#: the byte cap bounds the footprint (a handful of large-tree entries
-#: can dwarf dozens of small ones); eviction is LRU under both.
+#: Twist sequences only (the closed-form orders are streamed).  Bounded
+#: twice over: the entry cap bounds the count, the byte cap the
+#: footprint (a handful of large-tree entries can dwarf dozens of small
+#: ones) — a bench sweep or a resident service must not hoard memory.
+#: Eviction is LRU under both.
 _POSITIONS_CAP = 8
 _POSITIONS_MAX_BYTES = 256 * 1024 * 1024
 
@@ -187,7 +279,7 @@ def _positions_nbytes() -> int:
 
 
 def position_cache_info() -> dict:
-    """Entry/byte usage of the position cache (for tests and stats)."""
+    """Entry/byte usage of the twist-sequence cache (for tests and stats)."""
     return {
         "entries": len(_POSITIONS),
         "bytes": _positions_nbytes(),
@@ -218,48 +310,23 @@ def set_position_cache_limits(
     return previous
 
 
-def _position_arrays(
+def _cached_twist(
     spec: NestedRecursionSpec,
-    kind: str,
+    outer: SoATree,
+    inner: SoATree,
     order: str,
-    cutoff: Optional[int] = None,
-) -> tuple[SoATree, SoATree, np.ndarray, np.ndarray]:
-    """(outer view, inner view, rows, cols) for one schedule kind.
-
-    The returned arrays replay exactly the pair sequence the SoA
-    backend's bulk fast path emits for the same schedule — ``original``
-    and ``interchange`` are closed forms over rank space (rank space is
-    pre-order, so visit order equals rank order), ``twist`` is the SoA
-    stack machine itself run into a collector.
-    """
-    outer = soa_view(spec.outer_root, order)
-    inner = soa_view(spec.inner_root, order)
-    key = (id(spec.outer_root), id(spec.inner_root), kind, order, cutoff)
+    cutoff: Optional[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The narrow twist sequence for these live trees, generated on a miss."""
+    key = (id(spec.outer_root), id(spec.inner_root), order, cutoff)
     hit = _POSITIONS.get(key)
     if hit is not None:
         ref_o, ref_i, rows, cols = hit
         if ref_o() is spec.outer_root and ref_i() is spec.inner_root:
             _POSITIONS.move_to_end(key)
-            return outer, inner, rows, cols
+            return rows, cols
         del _POSITIONS[key]
-    o_pos = np.asarray(outer.rank_pos_list, dtype=np.intp)
-    i_pos = np.asarray(inner.rank_pos_list, dtype=np.intp)
-    n_o, n_i = outer.num_nodes, inner.num_nodes
-    if kind == "original":
-        # Outer pre-order, whole inner pre-order per outer node.
-        rows = np.repeat(o_pos, n_i)
-        cols = np.tile(i_pos, n_o)
-    elif kind == "interchange":
-        # Inner pre-order, whole outer pre-order per inner node.
-        rows = np.tile(o_pos, n_i)
-        cols = np.repeat(i_pos, n_o)
-    elif kind == "twist":
-        collector = _Collector()
-        _run_twisted_bulk(collector, True, outer, inner, cutoff, sys.maxsize)
-        rows = np.asarray(collector._os, dtype=np.intp)
-        cols = np.asarray(collector._is, dtype=np.intp)
-    else:  # pragma: no cover - internal misuse
-        raise ScheduleError(f"unknown compiled schedule kind {kind!r}")
+    rows, cols = _twist_sequence(outer, inner, cutoff)
     _POSITIONS[key] = (
         weakref.ref(spec.outer_root),
         weakref.ref(spec.inner_root),
@@ -271,22 +338,57 @@ def _position_arrays(
         or _positions_nbytes() > _POSITIONS_MAX_BYTES
     ):
         _POSITIONS.popitem(last=False)
-    return outer, inner, rows, cols
+    return rows, cols
+
+
+def _position_arrays(
+    spec: NestedRecursionSpec,
+    kind: str,
+    order: str,
+    cutoff: Optional[int] = None,
+) -> tuple[SoATree, SoATree, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """(outer view, inner view, ``np.intp`` position blocks) for one kind.
+
+    The blocks replay exactly the pair sequence the SoA backend's bulk
+    fast path emits for the same schedule — ``original`` and
+    ``interchange`` are closed forms over rank space (rank space is
+    pre-order, so visit order equals rank order) streamed lazily,
+    ``twist`` is the SoA stack machine itself, run into the narrow
+    cache here on a miss and widened per block.
+    """
+    outer = soa_view(spec.outer_root, order)
+    inner = soa_view(spec.inner_root, order)
+    o_pos = np.asarray(outer.rank_pos, dtype=np.intp)
+    i_pos = np.asarray(inner.rank_pos, dtype=np.intp)
+    if kind == "original":
+        # Outer pre-order, whole inner pre-order per outer node.
+        blocks = _closed_form_blocks(o_pos, i_pos)
+    elif kind == "interchange":
+        # Inner pre-order, whole outer pre-order per inner node.
+        blocks = (
+            (rows, cols) for cols, rows in _closed_form_blocks(i_pos, o_pos)
+        )
+    elif kind == "twist":
+        blocks = _narrow_blocks(*_cached_twist(spec, outer, inner, order, cutoff))
+    else:  # pragma: no cover - internal misuse
+        raise ScheduleError(f"unknown compiled schedule kind {kind!r}")
+    return outer, inner, blocks
 
 
 def _dispatch(
     spec: NestedRecursionSpec,
     outer: SoATree,
     inner: SoATree,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """Run the whole cross product in one fused (or direct) dispatch."""
+    """Run the cross product block by block through one fused artifact."""
     artifact = compiled_artifact(spec)
-    if artifact is not None:
-        artifact.call(spec.work_batch_soa, outer, inner, rows, cols)
-    else:
-        spec.work_batch_soa(outer, inner, rows, cols)
+    kernel = spec.work_batch_soa
+    for rows, cols in blocks:
+        if artifact is not None:
+            artifact.call(kernel, outer, inner, rows, cols)
+        else:
+            kernel(outer, inner, rows, cols)
 
 
 # --------------------------------------------------------------------
@@ -310,8 +412,7 @@ def run_original_compiled(
             spec, instrument=instrument, batch_size=batch_size, order=order
         )
         return
-    outer, inner, rows, cols = _position_arrays(spec, "original", order)
-    _dispatch(spec, outer, inner, rows, cols)
+    _dispatch(spec, *_position_arrays(spec, "original", order))
 
 
 def run_interchanged_compiled(
@@ -335,8 +436,7 @@ def run_interchanged_compiled(
             order=order,
         )
         return
-    outer, inner, rows, cols = _position_arrays(spec, "interchange", order)
-    _dispatch(spec, outer, inner, rows, cols)
+    _dispatch(spec, *_position_arrays(spec, "interchange", order))
 
 
 def run_twisted_compiled(
@@ -362,5 +462,4 @@ def run_twisted_compiled(
             order=order,
         )
         return
-    outer, inner, rows, cols = _position_arrays(spec, "twist", order, cutoff)
-    _dispatch(spec, outer, inner, rows, cols)
+    _dispatch(spec, *_position_arrays(spec, "twist", order, cutoff))

@@ -17,10 +17,10 @@ Every schedule carries interchangeable backends:
   which traverse packed structure-of-arrays views
   (:mod:`repro.spaces.soa`) instead of linked nodes;
 * ``compiled`` — the proof-gated fused executors of
-  :mod:`repro.core.compiled`, which replay the SoA emission order from
-  cached whole-run position arrays into one fused (optionally
-  numba-jitted) kernel dispatch — only for specs the TW2xx pass
-  certifies ``lowerable``;
+  :mod:`repro.core.compiled`, which replay the SoA emission order in
+  position blocks (streamed closed forms, a cached narrow twist
+  sequence) through one fused (optionally numba-jitted) kernel — only
+  for specs the TW2xx pass certifies ``lowerable``;
 * ``parallel`` — the real multi-worker runtime of
   :mod:`repro.core.parallel_exec`, which spawns independent outer
   subtrees as tasks (the Section 7.3 decomposition) across a process

@@ -56,6 +56,8 @@ import inspect
 import numbers
 import textwrap
 import types
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -80,6 +82,7 @@ __all__ = [
     "NodeFieldWrite",
     "ObjectUse",
     "StateAccess",
+    "TreeMemo",
     "clear_ir_cache",
     "extract_kernel_ir",
     "ROLE_PARAM_KINDS",
@@ -1792,3 +1795,55 @@ def spec_kernel_irs(spec: Any, use_cache: bool = True) -> dict[str, KernelIR]:
 def clear_ir_cache() -> None:
     """Drop every cached kernel IR (each pass's ``clear_cache`` calls this)."""
     _IR_CACHE.clear()
+
+
+class TreeMemo:
+    """An LRU memo whose entries live only as long as their trees.
+
+    The passes key their per-spec results on live tree identity
+    (``id()`` of the roots), so every entry is pinned to its roots by
+    weak references: a hit needs each root to be the same live object,
+    and a root's death drops its entries at once — a stream of
+    transient specs (one per served query) leaves nothing behind.  At
+    most ``cap`` entries are kept, the least recently used evicted
+    first.  Roots that cannot be weakly referenced are not memoized.
+    """
+
+    def __init__(self, cap: int = 64) -> None:
+        self.cap = cap
+        self._entries: "OrderedDict[Any, tuple]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Any, roots: tuple) -> Any:
+        """The value memoized under ``key`` for these live roots, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        refs, value = entry
+        if any(ref() is not root for ref, root in zip(refs, roots)):
+            return None
+        self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Any, roots: tuple, value: Any) -> None:
+        """Memoize ``value`` under ``key`` until a root dies or it ages out."""
+
+        def drop(dead: weakref.ref) -> None:
+            entry = self._entries.get(key)
+            if entry is not None and any(ref is dead for ref in entry[0]):
+                self._entries.pop(key, None)
+
+        try:
+            refs = tuple(weakref.ref(root, drop) for root in roots)
+        except TypeError:
+            return
+        self._entries[key] = (refs, value)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.cap:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries.clear()

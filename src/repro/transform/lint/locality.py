@@ -48,7 +48,6 @@ from __future__ import annotations
 import enum
 import json
 import types
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -61,6 +60,7 @@ from repro.transform.lint.kernel_ir import (
     AFFINE,
     GATHER,
     KernelIR,
+    TreeMemo,
     clear_ir_cache,
     spec_cache_key,
     spec_kernel_irs,
@@ -283,9 +283,29 @@ def _resolve_live_value(fn: Any, label: str) -> Any:
     return value
 
 
+#: (inner root id, read fields) -> (payload bytes, counted fields).  The
+#: scan depends on the inner tree alone, so every spec over one inner
+#: tree shares it — the parallel runtime's task specs differ only in
+#: their outer root.
+_PAYLOAD_CACHE = TreeMemo(cap=64)
+
+
 def _inner_payload_bytes(
-    spec: NestedRecursionSpec, attrs: set[str]
+    spec: NestedRecursionSpec, attrs: set[str], use_cache: bool = True
 ) -> tuple[int, list[str]]:
+    """:func:`_scan_payload_bytes`, memoized on the live inner root."""
+    roots = (spec.inner_root,)
+    key = (id(spec.inner_root), frozenset(attrs))
+    cached = _PAYLOAD_CACHE.get(key, roots) if use_cache else None
+    if cached is not None:
+        return cached
+    result = _scan_payload_bytes(spec.inner_root, attrs)
+    if use_cache:
+        _PAYLOAD_CACHE.put(key, roots, result)
+    return result
+
+
+def _scan_payload_bytes(inner_root: Any, attrs: set[str]) -> tuple[int, list[str]]:
     """Bytes of the read inner-node payloads, summed over the live tree.
 
     One O(n) preorder scan; per node, numeric fields count their
@@ -294,7 +314,7 @@ def _inner_payload_bytes(
     nothing — the struct term already covers the traversal skeleton.
     """
     per_attr: dict[str, int] = {attr: 0 for attr in attrs}
-    for node in spec.inner_root.iter_preorder():
+    for node in inner_root.iter_preorder():
         for attr in attrs:
             value = getattr(node, attr, None)
             if value is None:
@@ -321,6 +341,7 @@ def _infer_footprint(
     spec: NestedRecursionSpec,
     irs: dict[str, tuple[Any, KernelIR]],
     sink: DiagnosticSink,
+    use_cache: bool = True,
 ) -> tuple[Optional[int], str]:
     """The inner working set in bytes, or ``None`` with a TW300 trail."""
     if not irs:
@@ -378,7 +399,7 @@ def _infer_footprint(
             "underestimated by an unknown amount",
         )
         return None, f"unsized inner-axis arrays: {names}"
-    payload_bytes, counted = _inner_payload_bytes(spec, attrs)
+    payload_bytes, counted = _inner_payload_bytes(spec, attrs, use_cache)
     struct_bytes = STRUCT_BYTES * inner_size
     total = struct_bytes + payload_bytes + sum(env_arrays.values())
     parts = [f"{inner_size} inner nodes x {STRUCT_BYTES} B struct"]
@@ -575,15 +596,17 @@ def _judge(
 # Entry point + cache
 # --------------------------------------------------------------------
 
-#: cache key -> (weakref to the outer root, report).  Keyed on kernel
-#: code objects, live-tree identity, *and* the cache model — the same
-#: spec under a different machine model is a different judgement.
-_REPORT_CACHE: dict[tuple, tuple[Any, LocalityReport]] = {}
+#: cache key -> report.  Keyed on kernel code objects, live-tree
+#: identity, *and* the cache model — the same spec under a different
+#: machine model is a different judgement.  Capped like the backend
+#: selector's choice cache; a report goes when either root dies.
+_REPORT_CACHE = TreeMemo(cap=64)
 
 
 def clear_cache() -> None:
-    """Drop memoized locality reports and the shared kernel IR."""
+    """Drop memoized locality reports, payload scans and the shared kernel IR."""
     _REPORT_CACHE.clear()
+    _PAYLOAD_CACHE.clear()
     clear_ir_cache()
 
 
@@ -613,10 +636,10 @@ def lint_locality(
     """
     model = cache_model if cache_model is not None else CacheModel.paper_default()
     key = _cache_key(spec, model) if use_cache else None
-    if key is not None and key in _REPORT_CACHE:
-        root_ref, cached = _REPORT_CACHE[key]
-        if root_ref is None or root_ref() is spec.outer_root:
-            return cached
+    roots = (spec.outer_root, spec.inner_root)
+    cached = _REPORT_CACHE.get(key, roots) if key is not None else None
+    if cached is not None:
+        return cached
     shared = spec_kernel_irs(spec, use_cache=use_cache)
     irs: dict[str, tuple[Any, KernelIR]] = {
         role: (getattr(spec, role), shared[role])
@@ -624,7 +647,7 @@ def lint_locality(
         if role in shared
     }
     sink = DiagnosticSink()
-    footprint, footprint_detail = _infer_footprint(spec, irs, sink)
+    footprint, footprint_detail = _infer_footprint(spec, irs, sink, use_cache)
     reuse, reuse_detail = _infer_reuse(spec, sink)
     verdicts, reasons = _judge(footprint, reuse, model, sink)
     sink.emit(
@@ -645,13 +668,5 @@ def lint_locality(
         diagnostics=list(sink.diagnostics),
     )
     if key is not None:
-        try:
-            root_ref = (
-                weakref.ref(spec.outer_root)
-                if spec.outer_root is not None
-                else None
-            )
-        except TypeError:  # pragma: no cover - non-weakrefable root
-            root_ref = None
-        _REPORT_CACHE[key] = (root_ref, report)
+        _REPORT_CACHE.put(key, roots, report)
     return report

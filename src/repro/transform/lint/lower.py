@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import json
 import numbers
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -50,6 +49,7 @@ from repro.transform.lint.kernel_ir import (
     SLICE,
     UNKNOWN,
     KernelIR,
+    TreeMemo,
     clear_ir_cache,
     spec_cache_key,
     spec_kernel_irs,
@@ -566,10 +566,10 @@ def _independence_pass(
 # Entry points + cache
 # --------------------------------------------------------------------
 
-#: cache key -> (weakref to the outer root, report).  The weakref guard
-#: invalidates entries whose live tree died (the injectivity
-#: precondition is a property of the *data*, not just the code).
-_REPORT_CACHE: dict[tuple, tuple[Any, LowerReport]] = {}
+#: cache key -> report, pinned to the live trees: an entry goes when
+#: either root dies (the injectivity precondition is a property of the
+#: *data*, not just the code).
+_REPORT_CACHE = TreeMemo(cap=64)
 
 
 def clear_cache() -> None:
@@ -591,10 +591,10 @@ def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport
     proof even under identical kernel code.
     """
     key = _cache_key(spec) if use_cache else None
-    if key is not None and key in _REPORT_CACHE:
-        root_ref, cached = _REPORT_CACHE[key]
-        if root_ref is None or root_ref() is spec.outer_root:
-            return cached
+    roots = (spec.outer_root, spec.inner_root)
+    cached = _REPORT_CACHE.get(key, roots) if key is not None else None
+    if cached is not None:
+        return cached
     roles = set(_INDEPENDENCE_ROLES) | set(_LOWER_ROLES)
     shared = spec_kernel_irs(spec, use_cache=use_cache)
     irs = {role: shared[role] for role in sorted(roles) if role in shared}
@@ -615,15 +615,7 @@ def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport
         kernels={role: ir.to_json() for role, ir in irs.items()},
     )
     if key is not None:
-        try:
-            root_ref = (
-                weakref.ref(spec.outer_root)
-                if spec.outer_root is not None
-                else None
-            )
-        except TypeError:  # pragma: no cover - non-weakrefable root
-            root_ref = None
-        _REPORT_CACHE[key] = (root_ref, report)
+        _REPORT_CACHE.put(key, roots, report)
     return report
 
 

@@ -27,8 +27,8 @@ iterables, captured ``ndarray``/scalar environment, and one level of
 method calls on captured state objects (inlined; their numeric fields
 become in/out parameters).  Anything outside that subset raises
 :class:`LoweringUnsupported` and the caller falls back to dispatching
-the original kernel whole-run (still fused-traversal, still a single
-dispatch — just not regenerated source).
+the original kernel over the same position blocks (still
+fused-traversal — just not regenerated source).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class LoweringUnsupported(ReproError):
 
     This is *not* a safety failure — the TW20x verdict still holds and
     the fused traversal is still valid.  Callers respond by dispatching
-    the original ``work_batch_soa`` once over the whole position arrays
+    the original ``work_batch_soa`` over the same position blocks
     instead of running regenerated source.
     """
 
@@ -639,7 +639,7 @@ def generate_fused_kernel(fn: Callable) -> FusedKernel:
 
     Raises :class:`LoweringUnsupported` when the kernel falls outside
     the translator's subset; the compiled executor then degrades to
-    whole-run dispatch of the original kernel.
+    per-block dispatch of the original kernel.
     """
     translator = _Translator(fn)
     body = translator.translate()

@@ -30,3 +30,20 @@ def small_points():
     from repro.spaces import clustered_points
 
     return clustered_points(200, clusters=8, spread=0.04, seed=5)
+
+
+@pytest.fixture
+def refuse_compiled(monkeypatch):
+    """Make the selector's TW20x compiled gate say "not lowerable".
+
+    A lowerable spec runs the fused ``compiled`` backend ahead of the
+    process pool on every host, so the parallel rule is reachable only
+    for specs the fused kernel cannot run; TJ and MM stand in for one.
+    """
+    from repro.core import backend_select
+
+    monkeypatch.setattr(
+        backend_select,
+        "_compiled_eligible",
+        lambda spec: (False, "not lowerable (test)", ()),
+    )

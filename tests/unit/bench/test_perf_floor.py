@@ -133,6 +133,20 @@ class TestCheckCompiledFloor:
         assert len(violations) == 1
         assert "refused" in violations[0]
 
+    def test_auto_off_compiled_on_a_floor_benchmark_always_violates(self):
+        # A deterministic check on the choice, applied on every host.
+        off = compiled_entry(
+            auto_choice="parallel", auto_reason="proven-parallel plan"
+        )
+        on = compiled_entry("MM", auto_choice="compiled")
+        elsewhere = compiled_entry("KDE", auto_choice="soa")
+        violations, _ = check_compiled_floor(
+            compiled_payload(off, on, elsewhere, cpu_count=1, numba=False)
+        )
+        assert len(violations) == 1
+        assert "TJ/original" in violations[0]
+        assert "'parallel'" in violations[0]
+
     def test_starved_host_skips_speed_but_not_correctness(self):
         slow = compiled_entry(
             timings={"recursive": 1.0, "soa": 0.25, "compiled": 0.3}

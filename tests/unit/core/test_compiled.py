@@ -9,7 +9,7 @@ moment anything is watching) — and must *refuse* every spec whose
 verdict falls short, with a :class:`~repro.errors.ScheduleError` that
 cites the verdict.  On top of parity: artifact caching per kernel
 family, the numba tier (faked here — the CI matrix runs the real one),
-and the whole-run position-array replay.
+and the streamed position blocks and narrow twist cache.
 """
 
 import numpy as np
@@ -293,12 +293,15 @@ class TestNumbaTier:
 
 
 class TestPositionCache:
+    """Only twist sequences are cached; eviction and byte caps apply to
+    them (original/interchange positions are streamed, never stored)."""
+
     def test_cache_is_bounded(self):
         from repro.core.compiled import _POSITIONS, _POSITIONS_CAP
 
         for k in range(_POSITIONS_CAP + 4):
             tj = TreeJoin(3 + k, 3)
-            run_original_compiled(tj.make_spec())
+            run_twisted_compiled(tj.make_spec())
         assert len(_POSITIONS) <= _POSITIONS_CAP
 
     def test_repeat_runs_hit_the_cache(self):
@@ -317,14 +320,15 @@ class TestPositionCache:
             set_position_cache_limits,
         )
 
-        # One TJ(63,63) position pair is ~63.5 KB; a 100 KB cap fits a
-        # single entry but never two, so the second insertion must
-        # evict the first even though the entry cap is far away.
-        previous = set_position_cache_limits(max_bytes=100 * 1024)
+        # One TJ(63,63) twist sequence is 2 x 3969 uint16 positions,
+        # ~15.5 KB; a 24 KB cap fits a single entry but never two, so
+        # the second insertion must evict the first even though the
+        # entry cap is far away.
+        previous = set_position_cache_limits(max_bytes=24 * 1024)
         try:
-            run_original_compiled(TreeJoin(63, 63).make_spec())
+            run_twisted_compiled(TreeJoin(63, 63).make_spec())
             assert position_cache_info()["entries"] == 1
-            run_original_compiled(TreeJoin(63, 63).make_spec())
+            run_twisted_compiled(TreeJoin(63, 63).make_spec())
             info = position_cache_info()
             assert info["entries"] == 1
             assert 0 < info["bytes"] <= info["max_bytes"]
@@ -337,7 +341,7 @@ class TestPositionCache:
         from repro.core.compiled import position_cache_info
 
         tj = TreeJoin(15, 15)
-        run_original_compiled(tj.make_spec())
+        run_twisted_compiled(tj.make_spec())
         info = position_cache_info()
         assert info["entries"] == 1
         assert info["bytes"] > 0
@@ -358,3 +362,133 @@ class TestPositionCache:
             max_entries=before["max_entries"]
         )
         assert previous == (before["max_entries"], before["max_bytes"])
+
+    def test_only_twist_adds_an_entry_in_narrow_arrays(self):
+        from repro.core.compiled import _POSITIONS, position_cache_info
+
+        tj = TreeJoin(23, 17)
+        for schedule in ("original", "interchange"):
+            BY_NAME[schedule].run(tj.make_spec(), backend="compiled")
+            assert position_cache_info()["entries"] == 0
+        run_twisted_compiled(tj.make_spec())
+        info = position_cache_info()
+        assert info["entries"] == 1
+        (_ref_o, _ref_i, rows, cols), = _POSITIONS.values()
+        assert rows.dtype == cols.dtype == np.uint16
+        assert len(rows) == len(cols) == 23 * 17
+        assert info["bytes"] == rows.nbytes + cols.nbytes
+
+    def test_uint32_past_the_uint16_node_limit(self, monkeypatch):
+        from repro.core import compiled as compiled_mod
+
+        # 23 outer nodes sit past a limit of 20, 17 inner nodes do not.
+        monkeypatch.setattr(compiled_mod, "UINT16_MAX_NODES", 20)
+        tj = TreeJoin(23, 17)
+        run_twisted_compiled(tj.make_spec())
+        (_ref_o, _ref_i, rows, cols), = compiled_mod._POSITIONS.values()
+        assert rows.dtype == np.uint32
+        assert cols.dtype == np.uint16
+        assert tj.accumulator.total == tj.expected_total()
+
+    @pytest.mark.parametrize("emitted", [-1, +1], ids=["short", "long"])
+    def test_pair_count_mismatch_raises(self, monkeypatch, emitted):
+        from repro.core import compiled as compiled_mod
+
+        genuine = compiled_mod._run_twisted_bulk
+
+        def miscounting(dispatcher, *args):
+            genuine(dispatcher, *args)
+            if emitted < 0:
+                dispatcher.filled -= 1
+            else:
+                dispatcher._os.append(0)
+                dispatcher._is.append(0)
+                dispatcher.flush()
+
+        monkeypatch.setattr(compiled_mod, "_run_twisted_bulk", miscounting)
+        with pytest.raises(ScheduleError, match="twist emitted"):
+            run_twisted_compiled(TreeJoin(9, 9).make_spec())
+        assert compiled_mod.position_cache_info()["entries"] == 0
+
+
+#: Block constant for the streaming tests: a small prime, so block
+#: edges fall mid-way through inner (and outer) runs.
+SMALL_BLOCK = 7
+
+STREAMED_SCHEDULES = [
+    BY_NAME["original"],
+    BY_NAME["interchange"],
+    BY_NAME["twist"],
+]
+
+
+class TestBlockStreaming:
+    """Every block partition must give the SoA backend's exact result."""
+
+    @pytest.mark.parametrize("order", LINEARIZATIONS)
+    @pytest.mark.parametrize(
+        "schedule", STREAMED_SCHEDULES, ids=lambda s: s.name
+    )
+    def test_small_blocks_are_bit_identical_to_soa(
+        self, monkeypatch, schedule, order
+    ):
+        from repro.core import compiled as compiled_mod
+
+        monkeypatch.setattr(compiled_mod, "BLOCK_PAIRS", SMALL_BLOCK)
+        # 5x3 pairs fit whole outer runs per block, 23x17 split them.
+        for n, m in ((5, 3), (23, 17)):
+            tj = TreeJoin(n, m)
+            schedule.run(tj.make_spec(), backend="soa", order=order)
+            expected = (tj.accumulator.total, tj.accumulator.pairs)
+            schedule.run(tj.make_spec(), backend="compiled", order=order)
+            assert (tj.accumulator.total, tj.accumulator.pairs) == expected
+        mm = MatrixMultiply(n=13, m=11, p=4)
+        schedule.run(mm.make_spec(), backend="soa", order=order)
+        reference = mm.c.copy()
+        schedule.run(mm.make_spec(), backend="compiled", order=order)
+        assert np.array_equal(mm.c, reference)
+
+    @pytest.mark.parametrize(
+        "kind", ["original", "interchange", "twist"]
+    )
+    def test_blocks_are_intp_and_at_most_the_block_size(
+        self, monkeypatch, kind
+    ):
+        from repro.core import compiled as compiled_mod
+
+        monkeypatch.setattr(compiled_mod, "BLOCK_PAIRS", SMALL_BLOCK)
+        spec = TreeJoin(23, 17).make_spec()
+        _outer, _inner, blocks = compiled_mod._position_arrays(
+            spec, kind, "veb"
+        )
+        sizes = []
+        for rows, cols in blocks:
+            assert rows.dtype == cols.dtype == np.intp
+            assert len(rows) == len(cols)
+            sizes.append(len(rows))
+        assert sum(sizes) == 23 * 17
+        assert max(sizes) == SMALL_BLOCK
+
+    def test_warm_original_run_stays_small(self):
+        import tracemalloc
+
+        tj = TreeJoin(1023, 1023)
+        run_original_compiled(tj.make_spec(), order="veb")  # cold
+        tracemalloc.start()
+        try:
+            run_original_compiled(tj.make_spec(), order="veb")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tj.accumulator.total == tj.expected_total()
+        assert peak < 4 * 1024 * 1024
+
+    def test_big_trees_cache_only_a_narrow_twist(self):
+        from repro.core.compiled import position_cache_info
+
+        tj = TreeJoin(1200, 1200)
+        for run in (run_original_compiled, run_twisted_compiled):
+            run(tj.make_spec(), order="veb")
+            run(tj.make_spec(), order="veb")
+            assert tj.accumulator.total == tj.expected_total()
+        assert position_cache_info()["bytes"] <= 6 * 1000 * 1000

@@ -122,7 +122,9 @@ class TestIndependenceGate:
 
 
 class TestBackendSelection:
-    def test_parallel_chosen_on_big_space_multicore_host(self, monkeypatch):
+    def test_parallel_chosen_on_big_space_multicore_host(
+        self, monkeypatch, refuse_compiled
+    ):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         spec = TreeJoin(1023, 1023).make_spec()
         choice = choose_backend(spec)
@@ -133,6 +135,17 @@ class TestBackendSelection:
         assert choice.backend == "parallel"
         assert choice.order == "veb"
         assert "proven-parallel plan" in choice.reason
+
+    def test_lowerable_spec_picks_compiled_over_parallel(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        spec = TreeJoin(1023, 1023).make_spec()
+        assert (
+            spec.outer_root.size * spec.inner_root.size
+            >= PARALLEL_SPACE_POINTS
+        )
+        choice = choose_backend(spec)
+        assert (choice.backend, choice.order) == ("compiled", "veb")
+        assert any(code.startswith("TW20") for code in choice.evidence)
 
     def test_parallel_never_chosen_on_single_core(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -149,7 +162,9 @@ class TestBackendSelection:
         assert choice.order == "veb"
         assert "lowerable" in choice.reason
 
-    def test_unproven_plan_refused_by_selector(self, monkeypatch):
+    def test_unproven_plan_refused_by_selector(
+        self, monkeypatch, refuse_compiled
+    ):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         # Defeat the TW21x static proof so the selector needs the
         # (removed) dynamic witness — and must refuse parallelism.
@@ -172,8 +187,8 @@ class TestBackendSelection:
         )
         choice = choose_backend(spec)
         # Refused parallelism falls through to the serial rules, where
-        # TJ's lowerable kernel lands on the fused backend.
-        assert choice.backend == "compiled"
+        # TJ's (here unlowerable) SoA kernel lands on soa.
+        assert choice.backend == "soa"
 
 
 class TestScheduleRunParallel:

@@ -1,10 +1,13 @@
 """Acceptance tests: the TW21x static proof replaces the warm-up probe.
 
-The ISSUE-6 contract: on a multi-core host, ``choose_backend`` must
-select the parallel backend for TJ and MM with *zero* dynamic warm-up
-runs — the static affine-footprint proof alone opens the gate.  The
-tests enforce "zero" literally by replacing each plan's ``make_probe``
-with a tripwire that fails the test if it is ever called.
+The contract: on a multi-core host, ``choose_backend`` must select the
+parallel backend for a big proven-independent space with *zero*
+dynamic warm-up runs — the static affine-footprint proof alone opens
+the gate.  TJ and MM are lowerable, so they normally run the fused
+``compiled`` backend ahead of the pool; the selection tests refuse
+that gate to reach the parallel rule.  The tests enforce "zero"
+literally by replacing each plan's ``make_probe`` with a tripwire that
+fails the test if it is ever called.
 """
 
 import os
@@ -40,7 +43,9 @@ def sabotage_probe(spec):
 
 
 class TestZeroProbeSelection:
-    def test_tj_selects_parallel_with_no_warmup_run(self, monkeypatch):
+    def test_tj_selects_parallel_with_no_warmup_run(
+        self, monkeypatch, refuse_compiled
+    ):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         spec = sabotage_probe(TreeJoin(1023, 1023).make_spec())
         choice = backend_select.choose_backend(spec)
@@ -48,7 +53,9 @@ class TestZeroProbeSelection:
         assert "statically" in choice.reason
         assert "no warm-up probe" in choice.reason
 
-    def test_mm_selects_parallel_with_no_warmup_run(self, monkeypatch):
+    def test_mm_selects_parallel_with_no_warmup_run(
+        self, monkeypatch, refuse_compiled
+    ):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         # MM's default full-scale space (384x384) sits below the
         # 1M-point parallel threshold; lower the bar rather than build

@@ -7,6 +7,8 @@ size must show up as a diff against a checked-in expectation, never as
 a silent re-prediction.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,70 @@ class TestReportCache:
             lint_locality(spec, cache_model=tiny_model(), use_cache=False)
             is not first
         )
+
+    def test_a_dead_root_drops_its_entries(self):
+        spec = payload_spec()
+        lint_locality(spec, cache_model=tiny_model())
+        assert len(locality._REPORT_CACHE) == 1
+        assert len(locality._PAYLOAD_CACHE) == 1
+        del spec
+        gc.collect()
+        assert len(locality._REPORT_CACHE) == 0
+        assert len(locality._PAYLOAD_CACHE) == 0
+
+    def test_live_entries_are_capped_least_recent_first(self):
+        cache = locality._REPORT_CACHE
+        specs = [payload_spec() for _ in range(cache.cap + 6)]
+        reports = [lint_locality(s, cache_model=tiny_model()) for s in specs]
+        assert len(cache) == cache.cap
+        assert lint_locality(specs[-1], cache_model=tiny_model()) is reports[-1]
+        assert lint_locality(specs[0], cache_model=tiny_model()) is not reports[0]
+
+    def test_oracle_loop_leaves_no_dead_entries(self):
+        from repro.serve.protocol import CountQuery, KNNQuery, NNQuery
+        from repro.serve.service import QueryService, ServiceConfig
+        from repro.spaces.points import clustered_points
+
+        references = clustered_points(256, clusters=4, spread=0.08, seed=1)
+        points = clustered_points(120, clusters=4, spread=0.07, seed=3)
+        queries = []
+        for index, row in enumerate(points):
+            point = tuple(float(value) for value in row)
+            kind = (NNQuery(point), KNNQuery(point, 3), CountQuery(point, 0.3))
+            queries.append(kind[index % 3])
+        service = QueryService(references, ServiceConfig(max_batch=16))
+        try:
+            service.execute_serial(queries)
+        finally:
+            service.close()
+        gc.collect()
+        for cache in (locality._REPORT_CACHE, locality._PAYLOAD_CACHE):
+            assert len(cache) <= cache.cap
+            for refs, _value in cache._entries.values():
+                assert all(ref() is not None for ref in refs)
+
+    def test_task_spec_over_the_same_inner_tree_does_not_rescan(
+        self, monkeypatch
+    ):
+        scanned = []
+        genuine = locality._scan_payload_bytes
+
+        def counting(inner_root, attrs):
+            scanned.append(inner_root)
+            return genuine(inner_root, attrs)
+
+        monkeypatch.setattr(locality, "_scan_payload_bytes", counting)
+        spec = payload_spec()
+        first = lint_locality(spec, cache_model=tiny_model())
+        # The parallel runtime's task specs: same kernels and inner
+        # tree, an outer subtree as the root.
+        task = NestedRecursionSpec(
+            outer_root=spec.outer_root.children[0],
+            inner_root=spec.inner_root,
+            work=spec.work,
+            name=spec.name,
+        )
+        second = lint_locality(task, cache_model=tiny_model())
+        assert second is not first
+        assert second.footprint_bytes == first.footprint_bytes
+        assert scanned == [spec.inner_root]
