@@ -1,13 +1,14 @@
 """Boot a real query server and verify it bit-for-bit — CI smoke.
 
 Starts ``python -m repro.serve`` as a subprocess with a chosen shard
-count, drives it over TCP with the blocking client in a chosen wire
-framing, and compares every answer against an in-process serial
-oracle over the same deterministic reference set.  The workload
+and pool-worker count, drives it over TCP with the blocking client in a
+chosen wire framing, and compares every answer against an in-process
+serial oracle over the same deterministic reference set.  The workload
 deliberately repeats queries so the intra-tick dedup path is
 exercised; the exit code is the verdict.
 
     python examples/serve_smoke.py --shards 2 --framing binary
+    python examples/serve_smoke.py --workers 2 --shards 2
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="server pool workers (0 = in-process execution)",
+    )
+    parser.add_argument(
         "--framing", choices=("json", "binary"), default="json"
     )
     parser.add_argument("--references", type=int, default=2048)
@@ -74,6 +81,8 @@ def main(argv: list[str] | None = None) -> int:
             str(args.seed),
             "--shards",
             str(args.shards),
+            "--workers",
+            str(args.workers),
             "--max-hold-ms",
             "2",
         ],
@@ -107,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         batcher = stats["batcher"]
         print(
-            f"serve smoke: shards={args.shards} framing={args.framing} "
+            f"serve smoke: shards={args.shards} workers={args.workers} "
+            f"framing={args.framing} "
             f"queries={len(queries)} mismatches={mismatches} "
             f"dedup_folded={batcher['dedup_folded']} "
             f"executed={batcher['executed']}"
@@ -119,6 +129,12 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"FAILED: server reports {stats['shards']['count']} "
                 f"shard(s), expected {args.shards}"
+            )
+            return 1
+        if stats["workers"] != args.workers:
+            print(
+                f"FAILED: server reports {stats['workers']} pool "
+                f"worker(s), expected {args.workers}"
             )
             return 1
         if args.duplicates > 0 and batcher["dedup_folded"] == 0:

@@ -8,8 +8,8 @@ framing micro-bench below and the integration tests; the serving claim
 is about execution, not socket I/O).  Each simulated user submits one
 query drawn from a configurable kind mix with a hot set:
 ``hot_fraction`` of users re-ask one of ``hot_set`` popular queries,
-the rest ask unique ones — the skew that makes the cross-batch verdict
-cache and the intra-tick dedup earn their keep.
+the rest ask unique ones — the skew that makes the intra-tick dedup
+earn its keep.
 
 Two entry points:
 
@@ -289,19 +289,14 @@ def run_serve_load(
             },
             "config": {
                 "leaf_size": config.leaf_size,
-                "query_leaf_size": config.query_leaf_size,
                 "max_batch": config.max_batch,
                 "max_hold_ms": config.max_hold_s * 1000.0,
-                "flush_candidates": config.flush_candidates,
                 "workers": config.workers,
                 "shards": config.shards,
                 "dedup": dedup,
                 "adaptive_hold": adaptive_hold,
             },
-            "backends": {
-                kind: dict(entry)
-                for kind, entry in service.analysis.items()
-            },
+            "backends": service.service_stats()["backends"],
             "latency_ms": _latency_summary(latencies),
             "qps": qps,
             "wall_seconds": wall,
@@ -313,7 +308,6 @@ def run_serve_load(
             "speedup": speedup,
             "bit_identical": True,
             "batcher": batcher.batcher_stats(),
-            "verdict_cache": service.service_stats()["verdict_cache"],
         }
         report = _report(payload)
         return report, payload
@@ -472,10 +466,11 @@ def run_serve_suite(
                 "dedup_hit_rate": stats["dedup_hit_rate"],
                 "bit_identical": True,
                 "batcher": stats,
-                "verdict_cache": service.service_stats()["verdict_cache"],
                 "backends": {
-                    kind: choice.backend
-                    for kind, choice in service.choices.items()
+                    kind: entry["backend"]
+                    for kind, entry in service.service_stats()[
+                        "backends"
+                    ].items()
                 },
             }
         finally:
@@ -557,18 +552,11 @@ def _report(payload: dict) -> ExperimentReport:
         "bit-identical vs oracle",
         "yes" if payload["bit_identical"] else "NO",
     )
-    cache = payload["verdict_cache"]
-    lookups = cache["hits"] + cache["misses"]
-    if lookups:
-        report.add_row(
-            "verdict-cache hit rate",
-            f"{100.0 * cache['hits'] / lookups:.1f}%",
-        )
     backends = ", ".join(
         f"{kind}={entry['backend']}"
         for kind, entry in payload["backends"].items()
     )
-    report.add_note(f"pinned backends: {backends}")
+    report.add_note(f"tick backends: {backends}")
     report.add_note(
         f"serial baseline sampled on {payload['serial']['sampled']} "
         "queries (per-query cost is workload-length independent)"

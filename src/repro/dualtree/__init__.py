@@ -12,6 +12,8 @@
   runnable objects;
 * :mod:`repro.dualtree.batch` — padded leaf blocks and vectorized
   block distances for the batched executor;
+* :mod:`repro.dualtree.frontier` — point-level leaf frontiers: exact
+  per-point k-NN and range counts without a query tree (serve ticks);
 * :mod:`repro.dualtree.brute` — brute-force oracles.
 """
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dualtree.boxes import HRect
+from repro.dualtree.boxes import PAIRWISE_DIM, HRect
 from repro.dualtree.spatial import SpatialNode, SpatialTree
 from repro.spaces.soa import PayloadGetter, SoATree, to_soa
 
@@ -210,6 +210,12 @@ def min_dists_to_tree(
     scalar call.
     """
     mins, maxs = arrays.mins, arrays.maxs
+    if bound.dim >= PAIRWISE_DIM:
+        gap = np.maximum(
+            np.maximum(mins - np.array(bound.maxs), np.array(bound.mins) - maxs),
+            0.0,
+        )
+        return np.sqrt((gap * gap).sum(axis=1))
     total = np.zeros(len(mins))
     for axis, (query_lo, query_hi) in enumerate(zip(bound.mins, bound.maxs)):
         lo_b = mins[:, axis]
@@ -217,24 +223,6 @@ def min_dists_to_tree(
         gap = np.where(lo_b > query_hi, lo_b - query_hi, query_lo - hi_b)
         total += np.where(gap > 0.0, gap * gap, 0.0)
     return np.sqrt(total)
-
-
-def point_prune_row(
-    point: tuple, arrays: BoundArrays, radius: float
-) -> np.ndarray:
-    """Per-point truncation row: "prune node i for this point?".
-
-    The degenerate-box form of :func:`min_dists_to_tree` — the point as
-    a zero-volume :class:`HRect` — which is exactly the expression a
-    one-point query leaf evaluates in the serial traversal, so each
-    entry is bit-identical to that leaf's scalar decision.  A row is a
-    pure function of ``(point, reference tree, radius)``, independent
-    of whatever batch tree the point was admitted under; that is what
-    makes rows cacheable across differently-shaped admission ticks
-    (``repro.serve.rules.SubtreeVerdictCache``), and the conjunction of
-    a leaf's point rows a sound refinement of its bound-based prune.
-    """
-    return min_dists_to_tree(HRect(point, point), arrays) > radius
 
 
 # -- conformance markers ----------------------------------------------
@@ -251,4 +239,3 @@ spatial_soa_view.__conformance_staged__ = True  # type: ignore[attr-defined]
 bound_arrays.__conformance_staged__ = True  # type: ignore[attr-defined]
 block_distances.__conformance_pure__ = True  # type: ignore[attr-defined]
 min_dists_to_tree.__conformance_pure__ = True  # type: ignore[attr-defined]
-point_prune_row.__conformance_pure__ = True  # type: ignore[attr-defined]

@@ -3,16 +3,15 @@
 The paper's Section 2 interchange observation — "many concurrent
 queries x one reference tree" is just another nested recursive
 iteration space — becomes an admission policy here: concurrent user
-queries are grouped per tick, indexed into one *batched outer tree*,
-and executed down the repository's existing fast path (spec ->
-``choose_backend`` -> batched/SoA executors) against a reference tree
-that was finalized, analyzed, and published to shared memory exactly
-once at startup.
+queries are grouped per tick and answered by one point-level leaf
+frontier sweep (:mod:`repro.dualtree.frontier`) against a reference
+tree that was finalized and published to shared memory exactly once
+at startup.
 
 Public surface:
 
 * :class:`~repro.serve.service.QueryService` — the resident back end:
-  builds and pins everything once, executes admitted batches, demuxes
+  builds everything once, checks and executes admitted ticks, demuxes
   per-query answers from result columns.
 * :class:`~repro.serve.batcher.AdmissionBatcher` — the asyncio front
   end: groups concurrent queries by compatible kind/parameters under a
@@ -21,8 +20,9 @@ Public surface:
   JSON wire encoding.
 * ``python -m repro.serve`` — a JSON-lines TCP server over the two.
 
-Every batched answer is **bit-identical** to per-query serial
-execution; see :mod:`repro.serve.rules` for the argument.
+Every tick's answer is **bit-identical** to per-query serial
+execution; see :mod:`repro.dualtree.frontier` and
+:mod:`repro.serve.rules` for the argument.
 """
 
 from repro.serve.batcher import AdmissionBatcher

@@ -57,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--leaf-size", type=int, default=ServiceConfig.leaf_size
     )
     parser.add_argument(
-        "--query-leaf-size", type=int, default=ServiceConfig.query_leaf_size
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=ServiceConfig.max_batch
     )
     parser.add_argument(
@@ -125,7 +122,9 @@ async def _handle_connection(
 
     async def answer(request_id, query_payload) -> None:
         try:
-            result = await batcher.submit(decode_query(query_payload))
+            query = decode_query(query_payload)
+            service.check_query(query)
+            result = await batcher.submit(query)
             await respond(
                 {"id": request_id, "ok": True, "result": encode_result(result)}
             )
@@ -230,7 +229,9 @@ async def _handle_binary(
 
     async def answer(request_id: int, body: bytes) -> None:
         try:
-            result = await batcher.submit(fr.unpack_query(body))
+            query = fr.unpack_query(body)
+            service.check_query(query)
+            result = await batcher.submit(query)
             await send(fr.T_RESULT, request_id, fr.pack_result(result))
         except ConnectionError:  # pragma: no cover - client went away
             pass
@@ -282,7 +283,6 @@ async def serve(args: argparse.Namespace) -> int:
     references = _load_references(args)
     config = ServiceConfig(
         leaf_size=args.leaf_size,
-        query_leaf_size=args.query_leaf_size,
         max_batch=args.max_batch,
         max_hold_s=args.max_hold_ms / 1000.0,
         workers=args.workers,
@@ -305,16 +305,12 @@ async def serve(args: argparse.Namespace) -> int:
     address = ", ".join(
         str(sock.getsockname()) for sock in server.sockets or ()
     )
-    pinned = {
-        kind: f"{choice.backend}/{choice.order}"
-        for kind, choice in service.choices.items()
-    }
     print(
         f"serving {len(references)} reference points on {address} "
         f"(max_batch={config.max_batch}, "
         f"max_hold={config.max_hold_s * 1000:.1f}ms, "
         f"shards={config.shards}, dedup={batcher.dedup}, "
-        f"adaptive_hold={batcher.adaptive_hold}, backends={pinned})",
+        f"adaptive_hold={batcher.adaptive_hold})",
         flush=True,
     )
     try:

@@ -32,9 +32,9 @@ by their exact float coordinates (plus ``k``/``radius``), so equal
 queries are *identical* work: the oracle is a deterministic function
 of the query value.  The batcher therefore canonicalizes a group's
 backlog as an ordered map ``query -> [futures]``; a tick executes each
-distinct query **once** — one row in the batched outer tree, one
-``point_prune_row`` assembly, one k-NN candidate merge — and the
-single result object is fanned out to every requester's future.  The
+distinct query **once** — one leaf-frontier row, one set of evaluated
+(point, leaf) pairs — and the single result object is fanned out to
+every requester's future.  The
 fan-out is bit-identical by construction (every caller receives the
 same demuxed value, not a recomputation), and under a hot-set skew it
 removes the duplicated majority of each tick's frontier work.  The
@@ -64,9 +64,10 @@ concurrently.
 
 The policy is deliberately the paper's Section 2 interchange worn as
 an admission discipline: the "outer recursion" over user queries is
-*materialized* per tick (a batch query tree) instead of executed one
-query at a time, which is exactly the interchange the benchmarks
-apply to nested traversals — see PAPER_MAP.md.
+*materialized* per tick (one block of query points swept against the
+resident reference tree) instead of executed one query at a time,
+which is exactly the interchange the benchmarks apply to nested
+traversals — see PAPER_MAP.md.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Serving-grade dual-tree rule sets with a batch-robustness proof.
+"""Serve rule sets: the per-query oracle's dual-tree traversal.
 
-The service folds a tick's worth of admitted queries into one query
-tree and runs the batch as a single dual-tree pass.  For the demuxed
-per-query answers to be **bit-identical** to per-query serial
-execution, the rule sets here are built so the final state is a pure
-function of *which* leaf pairs were visited and the per-pair distance
-values — never of the traversal interleaving:
+Ticks are answered by point-level leaf frontiers
+(:mod:`repro.dualtree.frontier`); these rules are the independent
+reference they are bit-compared against.  ``QueryService.execute_serial``
+runs them over a one-point query tree per query, and they stay correct
+for any query-tree shape, schedule and backend, because their final
+state is a pure function of *which* leaf pairs were visited and the
+per-pair distance values — never of the traversal interleaving:
 
 * distances are computed with the same elementwise expression
   (:func:`~repro.dualtree.rules._pairwise_distances`) regardless of
@@ -24,166 +25,31 @@ values — never of the traversal interleaving:
   the final k-set unchanged, making the result identical across batch
   shapes, traversal orders, and merge timings.
 
-That schedule-robustness is also a *performance* license: the KNN
-rules buffer surviving reference leaves per query leaf and merge them
-in chunks (``flush_candidates``), turning many tiny per-leaf-pair
-sorts into a few wide vectorized ones, with the pruning bound updated
-at merge time.  Staleness only weakens pruning, never the answer.
-
-:class:`SubtreeVerdictCache` is the cross-batch LRU of truncation
-verdicts.  Count-query ``Score`` against a *single point* is a pure
-function of (point, reference tree, radius), so the cache keys whole
-verdict rows — "which reference subtrees can this point truncate" —
-by exact point coordinates.  Hot points recur across ticks no matter
-how the admission batcher happens to slice them into query leaves, so
-their rows hit forever.  A query *leaf*'s truncation decision is then
-assembled as the elementwise AND of its points' rows: prune a
-reference subtree iff every admitted point in the leaf individually
-prunes it.  That is a *refinement* of the leaf-bound prune (a point's
-min-dist to a box is never smaller than its enclosing leaf bound's),
-and any refinement of a conservative count prune is count-exact — a
-pruned subtree holds zero in-radius references for every query in the
-leaf, so the skipped base cases would have contributed zero.  The
-per-point rows themselves are computed with the very expression the
-serial oracle's degenerate one-point leaves use, so cached decisions
-are bit-for-bit the oracle's decisions.
+The same argument licenses the frontier: it sees a different superset
+of the surviving candidates, in a different order, and reaches the same
+set state.  It is also why :class:`ServeKnnRules` may buffer surviving
+reference leaves and merge them in chunks (``flush_candidates``) with
+the pruning bound updated only at merge time: staleness only weakens
+pruning, never the answer.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 
+from repro.dualtree.frontier import PAD_ID
 from repro.dualtree.rules import DualTreeRules, _pairwise_distances
 from repro.dualtree.spatial import SpatialNode, SpatialTree
 from repro.errors import SpecError
-
-#: Identifier padding for unfilled k-NN slots; larger than any real
-#: point id, so lexicographic merge pushes empty slots last.
-PAD_ID = np.iinfo(np.int64).max
-
-
-class SubtreeVerdictCache:
-    """LRU cache of per-query-point truncation verdict rows.
-
-    Keys are exact query-point coordinates (float tuples) plus the
-    radius — no tolerance, so a hit can never change a decision.
-    Values are read-only boolean arrays indexed by reference pre-order
-    ``number``: entry ``n`` says "this point alone truncates reference
-    subtree ``n``".  Keying by point rather than by query-leaf bound is
-    what makes the cache survive admission noise: a hot point lands in
-    a differently-shaped batch tree every tick, but its own verdict row
-    never changes.  Only *stateless* scores may use this cache (a
-    stateful bound would make the row a function of traversal history);
-    :class:`ServeKnnRules` therefore never touches it.
-    """
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise SpecError("verdict cache needs max_entries >= 1")
-        self.max_entries = max_entries
-        self._rows: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple) -> Optional[np.ndarray]:
-        """The cached verdict row for ``key``, or None."""
-        row = self._rows.get(key)
-        if row is None:
-            self.misses += 1
-            return None
-        self._rows.move_to_end(key)
-        self.hits += 1
-        return row
-
-    def store(self, key: tuple, row: np.ndarray) -> np.ndarray:
-        """Cache ``row`` (frozen read-only) and return the stored view."""
-        frozen = np.array(row, copy=True)
-        frozen.setflags(write=False)
-        self._rows[key] = frozen
-        while len(self._rows) > self.max_entries:
-            self._rows.popitem(last=False)
-        return frozen
-
-    def clear(self) -> None:
-        """Drop all rows and zero the counters."""
-        self._rows.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict:
-        """Hit/miss/occupancy counters for service stats."""
-        return {
-            "entries": len(self._rows),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-
-def assemble_leaf_verdict_row(rules: "ServeCountRules", q: SpatialNode):
-    """Stage one query leaf's assembled truncation-verdict row.
-
-    The row is a pure function of (the leaf's points, the reference
-    tree, the radius): the elementwise AND of per-point
-    :func:`~repro.dualtree.batch.point_prune_row` rows, each of which
-    is itself bit-identical to the serial oracle's one-point-leaf
-    decision (module docstring).  The writes below — the cross-batch
-    LRU and the per-batch leaf memo — are *staging*: they cache that
-    pure function's value and can never change a decision, which is
-    why this helper carries the ``__conformance_staged__`` marker the
-    backend-conformance analyzer honors (surfaced as a TW109 info
-    finding instead of a purity refutation).
-
-    Returns ``None`` when no verdict cache is attached or the
-    reference tree has no packed bound arrays — callers fall back to
-    the stateless leaf-bound prune.
-    """
-    from repro.dualtree.batch import bound_arrays, point_prune_row
-
-    cache = rules.verdict_cache
-    if cache is None:
-        return None
-    memo = rules._node_rows
-    row = memo.get(q.number)
-    if row is not None:
-        return row
-    arrays = bound_arrays(rules.reference_tree)
-    if arrays is None:
-        return None
-    rows = []
-    points = rules.query_tree.points
-    for point_id in rules.query_tree.indices[q.start : q.end]:
-        point = tuple(float(value) for value in points[point_id])
-        key = (point, rules.radius)
-        cached_row = cache.lookup(key)
-        if cached_row is None:
-            # point_prune_row is the degenerate one-point rectangle
-            # the serial oracle's one-point leaves carry, so this
-            # row reproduces the oracle's decisions bit for bit.
-            cached_row = point_prune_row(point, arrays, rules.radius)
-            cached_row = cache.store(key, cached_row)
-        rows.append(cached_row)
-    row = rows[0] if len(rows) == 1 else np.logical_and.reduce(rows)
-    memo[q.number] = row
-    return row
-
-
-assemble_leaf_verdict_row.__conformance_staged__ = True  # type: ignore[attr-defined]
-
 
 class ServeCountRules(DualTreeRules):
     """Per-query range counting (each query's slice of PC).
 
     ``Score`` is stateless geometry, so block truncation is legal and
-    the batched backend gets its biggest wins here; counts accumulate
-    into a caller-supplied int64 column for demuxing.  The verdict-row
-    assembly lives in the staged module helper
-    :func:`assemble_leaf_verdict_row` so the conformance analyzer can
-    certify the block guard pure-modulo-staging (batched verdict
-    ``safe``) instead of refusing the serve path to ``recursive``.
+    the batched backend may run it; counts accumulate into a
+    caller-supplied int64 column.
     """
 
     observes_results = False
@@ -194,7 +60,6 @@ class ServeCountRules(DualTreeRules):
         reference_tree: SpatialTree,
         radius: float,
         counts: Optional[np.ndarray] = None,
-        verdict_cache: Optional[SubtreeVerdictCache] = None,
     ) -> None:
         if radius < 0.0:
             raise SpecError(f"negative radius {radius}")
@@ -209,32 +74,17 @@ class ServeCountRules(DualTreeRules):
                 f"({query_tree.num_points},)"
             )
         self.counts = counts
-        self.verdict_cache = verdict_cache
-        #: assembled per-leaf rows, memoized for this batch's lifetime
-        self._node_rows: dict[int, np.ndarray] = {}
 
     def score(self, q: SpatialNode, r: SpatialNode) -> bool:
-        row = assemble_leaf_verdict_row(self, q)
-        if row is not None:
-            return bool(row[r.number])
         return q.bound.min_dist(r.bound) > self.radius
 
     def score_block(self, q: SpatialNode):
         """Verdicts for every reference node at once (or ``None``).
 
-        With a verdict cache attached, the row is the AND of the
-        leaf's per-point rows (hot points hit across batches; the
-        module docstring proves the refinement count-exact).  Without
-        one, it is the leaf-bound row — the same vectorized min-dist
-        expression :func:`~repro.dualtree.batch.min_dists_to_tree` the
-        other stateless rules use, bit-identical to the scalar path.
+        The vectorized min-dist expression
+        :func:`~repro.dualtree.batch.min_dists_to_tree` the other
+        stateless rules use, bit-identical to the scalar path.
         """
-        row = assemble_leaf_verdict_row(self, q)
-        if row is not None:
-            return row
-        return self._bound_row(q)
-
-    def _bound_row(self, q: SpatialNode):
         from repro.dualtree.batch import bound_arrays, min_dists_to_tree
 
         arrays = bound_arrays(self.reference_tree)

@@ -1,41 +1,40 @@
-"""The resident back end: finalize once, analyze once, serve forever.
+"""The resident back end: finalize once, serve forever.
 
 A :class:`QueryService` is the serving counterpart of one benchmark
 run.  Construction does all the work every per-call run pays
 repeatedly, exactly once:
 
-* the reference kd-tree is built and finalized, and its traversal
-  accelerators (leaf blocks, packed bound arrays) are warmed;
+* the reference kd-tree is built and finalized, and the arrays a leaf
+  frontier reads (padded leaf blocks, leaf boxes) are staged;
 * the reference point array is published into shared memory as a
   long-lived :class:`~repro.spaces.soa.SharedPublication`, so pool
   workers attach zero-copy and rebuild the (deterministic) tree once
-  per worker — a task submission ships only the admitted query points;
-* each query kind is run through the analysis stack — backend
-  conformance, TW20x lowerability, and the ``choose_backend``
-  structural probe — and the resulting :class:`BackendChoice`
-  (backend + storage order) is **pinned**; steady-state batches skip
-  straight to execution.
+  per worker — a task submission ships only the admitted query points.
 
-``execute_batch`` then folds one tick's queries into a single batched
-outer tree per compatible group (the Section 2 interchange applied to
-admission), runs it down the pinned backend, and demuxes per-query
-answers out of the declared :class:`~repro.spaces.soa.ResultColumn`
-arrays.  ``execute_serial`` is the per-query oracle the batched
-answers are bit-compared against.
+``execute_batch`` then checks every query of one tick
+(:meth:`QueryService.check_query`), groups the compatible ones, and
+answers each group with one point-level leaf frontier call per shard
+(:mod:`repro.dualtree.frontier`): no outer tree is built and no
+backend is picked.  Per-query answers are demuxed from the returned
+columns.  ``execute_serial`` is the per-query oracle the tick answers
+are bit-compared against: the :class:`~repro.serve.rules.ServeKnnRules`
+/ :class:`~repro.serve.rules.ServeCountRules` dual-tree traversal of a
+one-point query tree on ``backend="auto"``, an execution path
+independent of the frontier.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend_select import BackendChoice, choose_backend
 from repro.core.schedules import ORIGINAL
 from repro.dualtree.batch import bound_arrays, leaf_blocks
+from repro.dualtree.frontier import count_frontier, knn_frontier, leaf_bounds
 from repro.dualtree.kdtree import build_kdtree
 from repro.dualtree.spatial import SpatialTree
 from repro.dualtree.traverser import dual_tree_spec
@@ -45,31 +44,24 @@ from repro.serve.protocol import (
     CountResult,
     KNNQuery,
     KNNResult,
-    NNQuery,
     NNResult,
     Query,
     Result,
     group_key,
 )
-from repro.serve.rules import (
-    PAD_ID,
-    ServeCountRules,
-    ServeKnnRules,
-    SubtreeVerdictCache,
-)
+from repro.serve.rules import ServeCountRules, ServeKnnRules
 from repro.serve.shards import (
     ReferenceShard,
     gather_columns,
     shard_slices,
 )
 from repro.spaces.soa import (
-    ResultColumn,
     SharedArrayHandle,
     SharedPublication,
     attach_shared_arrays_cached,
 )
 
-#: Query kinds the service answers, in analysis order.
+#: Query kinds the service answers.
 KINDS = ("nn", "knn", "count")
 
 
@@ -77,38 +69,25 @@ KINDS = ("nn", "knn", "count")
 class ServiceConfig:
     """Tunables of one resident service.
 
-    Defaults encode the measured sweet spot on the development host:
-    ``query_leaf_size=64`` packs an admitted batch into few, wide
-    query leaves (small per-leaf Python overhead, big vectorized base
-    cases) and ``max_batch=256`` saturates the batched executors; both
-    the admission batcher and the load generator inherit them from
-    here so the whole stack agrees on one batching policy.
+    ``max_batch=256`` is the measured sweet spot of the development
+    host; both the admission batcher and the load generator inherit it
+    from here so the whole stack agrees on one batching policy.
     """
 
-    #: reference-tree leaf size (dual-tree pruning granularity)
+    #: reference-tree leaf size (frontier leaf granularity)
     leaf_size: int = 8
-    #: admitted-batch query-tree leaf size
-    query_leaf_size: int = 64
     #: admission batch cap (the batcher flushes at this size)
     max_batch: int = 256
     #: admission hold latency cap, seconds
     max_hold_s: float = 0.002
-    #: k-NN merge buffer: candidate points accumulated per flush
-    flush_candidates: int = 128
-    #: LRU entries of cached truncation-verdict rows
-    verdict_cache_entries: int = 1024
-    #: default k for startup KNN analysis
-    analysis_k: int = 5
-    #: default radius for startup count analysis
-    analysis_radius: float = 0.3
     #: pool workers (0 = execute in-process)
     workers: int = 0
     #: reference-set shards a tick is scattered across
     shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.leaf_size < 1 or self.query_leaf_size < 1:
-            raise SpecError("leaf sizes must be >= 1")
+        if self.leaf_size < 1:
+            raise SpecError("leaf_size must be >= 1")
         if self.max_batch < 1:
             raise SpecError("max_batch must be >= 1")
         if self.max_hold_s < 0:
@@ -119,74 +98,45 @@ class ServiceConfig:
             raise SpecError("shards must be >= 1")
 
 
-def _result_columns(kind: str, batch: int, k: int) -> tuple[ResultColumn, ...]:
-    """The declared result plane one group batch writes into."""
-    if kind in ("nn", "knn"):
-        return (
-            ResultColumn(
-                "ids", (batch, k), "int64", mode="shared", fill=PAD_ID
-            ),
-            ResultColumn(
-                "dists", (batch, k), "float64", mode="shared", fill=np.inf
-            ),
-        )
-    return (ResultColumn("counts", (batch,), "int64", mode="sum"),)
-
-
 def _run_group(
-    reference_tree: SpatialTree,
-    kind: str,
-    param: float,
-    points: np.ndarray,
-    *,
-    query_leaf_size: int,
-    flush_candidates: int,
-    backend: str,
-    order: str,
-    verdict_cache: Optional[SubtreeVerdictCache] = None,
+    reference_tree: SpatialTree, kind: str, param: float, points: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Execute one compatible group as a single dual-tree batch.
+    """Answer one compatible group with one leaf frontier call.
 
-    The admitted points become the outer tree; results land in arrays
-    allocated from the group's :func:`_result_columns` declarations
-    and are returned for demuxing.  This is the *whole* execution path
-    — the service, the serial oracle, and pool workers all funnel
-    through it, so batched and serial answers differ only in the batch
-    shape (which the rules are proof-built to be insensitive to).
+    Returns the ``ids``/``dists`` (NN, k-NN) or ``counts`` columns,
+    row ``i`` belonging to ``points[i]``.  The in-process path and pool
+    workers both run it, once per shard.
     """
-    batch = len(points)
-    query_tree = build_kdtree(points, query_leaf_size)
-    k = int(param) if kind == "knn" else 1
-    columns = {
-        column.name: column.allocate()
-        for column in _result_columns(kind, batch, k)
-    }
     if kind == "count":
-        rules = ServeCountRules(
-            query_tree,
-            reference_tree,
-            float(param),
-            counts=columns["counts"],
-            verdict_cache=verdict_cache,
-        )
+        return count_frontier(points, reference_tree, param)
+    return knn_frontier(
+        points, reference_tree, int(param) if kind == "knn" else 1
+    )
+
+
+def _oracle_group(
+    reference_tree: SpatialTree, kind: str, param: float, point
+) -> dict[str, np.ndarray]:
+    """The serial oracle's columns for one query point.
+
+    One dual-tree traversal of a one-point query tree under the serve
+    rules, on whatever backend ``auto`` picks for it.
+    """
+    query_tree = build_kdtree(np.array([point], dtype=float), 1)
+    if kind == "count":
+        rules = ServeCountRules(query_tree, reference_tree, param)
     else:
         rules = ServeKnnRules(
-            query_tree,
-            reference_tree,
-            k,
-            flush_candidates=flush_candidates,
-            dists=columns["dists"],
-            ids=columns["ids"],
+            query_tree, reference_tree, int(param) if kind == "knn" else 1
         )
     spec = dual_tree_spec(
         query_tree, reference_tree, rules, name=f"SERVE-{kind.upper()}"
     )
-    ORIGINAL.run(spec, backend=backend, order=order)
+    ORIGINAL.run(spec, backend="auto", order="preorder")
     if isinstance(rules, ServeKnnRules):
         rules.finalize()
-    # Results are indexed by point id == admission order (build_kdtree
-    # permutes indices, not the point array), so rows demux directly.
-    return columns
+        return {"ids": rules.ids, "dists": rules.dists}
+    return {"counts": rules.counts}
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +145,20 @@ def _run_group(
 #: Per-worker reference trees, keyed by (segment names, leaf size).
 _WORKER_TREES: dict[tuple, SpatialTree] = {}
 
-#: Per-worker cross-batch verdict caches, keyed like the trees (same
-#: hot points recur no matter which worker a tick lands on, so each
-#: process warms its own).  Verdict rows index a specific tree's node
-#: numbers, so a worker serving several shard trees must keep one
-#: cache per tree — a shared cache would hand shard B rows assembled
-#: against shard A's bounds.
-_WORKER_VERDICT_CACHES: dict[tuple, SubtreeVerdictCache] = {}
-
-
-def _worker_verdict_cache(key: tuple) -> SubtreeVerdictCache:
-    cache = _WORKER_VERDICT_CACHES.get(key)
-    if cache is None:
-        cache = SubtreeVerdictCache()
-        _WORKER_VERDICT_CACHES[key] = cache
-    return cache
-
 
 def _worker_run_group(
     handles: Sequence[SharedArrayHandle],
     ref_leaf_size: int,
     kind: str,
     param: float,
-    points: list,
-    query_leaf_size: int,
-    flush_candidates: int,
-    backend: str,
-    order: str,
+    points: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Pool-worker entry: cached zero-copy attach, cached tree rebuild.
 
     The kd-tree build is deterministic (median splits via
     ``argpartition`` over the attached points), so every worker holds
-    the same tree the parent pinned its analysis on; it is rebuilt
-    once per worker and reused across batches.
+    the same tree as the parent's shard; it is rebuilt once per worker
+    and reused across ticks.
     """
     arrays = attach_shared_arrays_cached(handles)
     key = tuple(sorted(h.shm_name for h in handles)) + (ref_leaf_size,)
@@ -236,17 +166,14 @@ def _worker_run_group(
     if tree is None:
         tree = build_kdtree(arrays["references"], ref_leaf_size)
         _WORKER_TREES[key] = tree
-    return _run_group(
-        tree,
-        kind,
-        param,
-        np.asarray(points, dtype=float),
-        query_leaf_size=query_leaf_size,
-        flush_candidates=flush_candidates,
-        backend=backend,
-        order=order,
-        verdict_cache=_worker_verdict_cache(key),
-    )
+    return _run_group(tree, kind, param, points)
+
+
+def _stage(tree: SpatialTree) -> None:
+    """Build the arrays the frontier and the oracle read, once."""
+    leaf_blocks(tree)
+    bound_arrays(tree)
+    leaf_bounds(tree)
 
 
 @dataclass
@@ -283,36 +210,30 @@ class QueryService:
                 f"references must be a non-empty (n, d) array, got shape "
                 f"{references.shape}"
             )
-        # Finalize once: the tree, then every traversal accelerator
-        # the executors would otherwise build lazily mid-request.
+        # Finalize once: the tree, then every array a frontier or the
+        # oracle's executors would otherwise build lazily mid-request.
         # The full tree always exists — it is the serial oracle's
         # reference plane even when execution is sharded.
         self.reference_tree = build_kdtree(references, self.config.leaf_size)
-        leaf_blocks(self.reference_tree)
-        bound_arrays(self.reference_tree)
+        _stage(self.reference_tree)
         self.references = self.reference_tree.points
         # Shard + publish once: each shard is its own finalized tree
         # over a contiguous reference slice with its own resident
         # shared-memory publication (one shard == the classic layout).
         self._shards = self._build_shards()
         self.publication = self._shards[0].publication
-        self.verdict_cache = self._shards[0].verdict_cache
         self.stats = ServiceStats()
         self._executor: Optional[ProcessPoolExecutor] = None
-        # Analyze once: pin one BackendChoice per query kind.
-        self.choices: dict[str, BackendChoice] = {}
-        self.analysis: dict[str, dict] = {}
-        self._analyze()
 
     # -- startup sharding -------------------------------------------------
 
     def _build_shards(self) -> list[ReferenceShard]:
         """Cut, finalize, and publish the execution shards.
 
-        With ``shards == 1`` the single shard reuses the full tree —
-        bit-for-bit the pre-sharding service.  Otherwise each shard
-        tree is built over a contiguous slice, so a shard-local result
-        id rebases to the global id by adding the slice start.
+        With ``shards == 1`` the single shard reuses the full tree.
+        Otherwise each shard tree is built over a contiguous slice, so
+        a shard-local result id rebases to the global id by adding the
+        slice start.
         """
         shards: list[ReferenceShard] = []
         for index, (start, stop) in enumerate(
@@ -324,8 +245,7 @@ class QueryService:
                 tree = build_kdtree(
                     self.references[start:stop], self.config.leaf_size
                 )
-                leaf_blocks(tree)
-                bound_arrays(tree)
+                _stage(tree)
             shards.append(
                 ReferenceShard(
                     index=index,
@@ -334,86 +254,43 @@ class QueryService:
                     publication=SharedPublication.publish(
                         {"references": tree.points}
                     ),
-                    verdict_cache=SubtreeVerdictCache(
-                        self.config.verdict_cache_entries
-                    ),
                 )
             )
         return shards
 
-    # -- startup analysis -------------------------------------------------
+    # -- admission checks -------------------------------------------------
 
-    def _analysis_param(self, kind: str) -> float:
-        if kind == "knn":
-            return float(
-                min(self.config.analysis_k, self._shards[0].num_points)
-            )
-        if kind == "count":
-            return self.config.analysis_radius
-        return 1.0
+    def check_query(self, query: Query) -> None:
+        """Raise :class:`SpecError` for a query this service cannot answer.
 
-    def _analyze(self) -> None:
-        """Run lint/conformance/lowerability + the structural probe once.
-
-        A representative full-size batch (reference points reused as
-        stand-in queries — same dimensionality, same clustering) is
-        specced per kind against the *execution* tree (shard 0; shards
-        are balanced, so one probe stands for all); the resulting
-        choice is pinned for every steady-state batch of that kind.
+        The point must have the served dimension and finite
+        coordinates, a count radius must be finite and >= 0, and a k-NN
+        ``k`` must lie in 1..the reference count.  The front end calls
+        this per request, so a bad query fails alone instead of failing
+        the tick it would have joined.
         """
-        from repro.core.backend_select import conformance_verdicts
-        from repro.transform.lint.lower import lint_lower
-
-        exec_tree = self._shards[0].tree
-        sample = self.references[
-            : min(self.config.max_batch, len(self.references))
-        ]
-        for kind in KINDS:
-            param = self._analysis_param(kind)
-            query_tree = build_kdtree(
-                np.array(sample, copy=True), self.config.query_leaf_size
+        group_key(query)  # rejects unknown query types
+        dim = self.references.shape[1]
+        if len(query.point) != dim:
+            raise SpecError(
+                f"query point has {len(query.point)} coordinates; this "
+                f"service serves {dim}-dimensional points"
             )
-            if kind == "count":
-                rules = ServeCountRules(query_tree, exec_tree, param)
-            else:
-                rules = ServeKnnRules(query_tree, exec_tree, int(param))
-            spec = dual_tree_spec(
-                query_tree,
-                exec_tree,
-                rules,
-                name=f"SERVE-{kind.upper()}",
+        if not all(math.isfinite(value) for value in query.point):
+            raise SpecError(f"query point {query.point} is not finite")
+        if isinstance(query, CountQuery) and not (
+            math.isfinite(query.radius) and query.radius >= 0
+        ):
+            raise SpecError(
+                f"count query needs a finite radius >= 0, got {query.radius}"
             )
-            choice = choose_backend(spec, "original")
-            verdicts = conformance_verdicts(spec)
-            try:
-                lower = lint_lower(spec)
-                lowerability = {
-                    "lower": str(lower.lower),
-                    "reason": lower.lower_reason,
-                }
-            except Exception as exc:  # analyzer must never block startup
-                lowerability = {"lower": "analyzer-failed", "reason": str(exc)}
-            self.choices[kind] = choice
-            self.analysis[kind] = {
-                "backend": choice.backend,
-                "order": choice.order,
-                "reason": choice.reason,
-                "conformance": verdicts,
-                "lowerability": lowerability,
-            }
-            if (
-                choice.backend == "recursive"
-                and "conformance" in choice.reason
-            ):
-                # The small-space rule picks recursive legitimately;
-                # a conformance *downgrade* means a kind silently lost
-                # its batched hot path — that deserves a loud startup.
-                warnings.warn(
-                    f"serve kind '{kind}' fell back to the recursive "
-                    f"backend: {choice.reason}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        if isinstance(query, KNNQuery) and not (
+            1 <= query.k <= len(self.references)
+        ):
+            raise SpecError(
+                f"knn query needs 1 <= k <= {len(self.references)} (the "
+                f"reference count), got {query.k}"
+            )
 
     # -- execution --------------------------------------------------------
 
@@ -432,28 +309,10 @@ class QueryService:
         return param
 
     def _execute_group(
-        self, key: tuple, points: np.ndarray, serial_oracle: bool = False
+        self, key: tuple, points: np.ndarray
     ) -> dict[str, np.ndarray]:
         kind = key[0]
         param = self._group_param(key)
-        if serial_oracle:
-            # The oracle is what a non-batching server would run per
-            # query: the auto selector re-resolves each 1-point spec
-            # (typically to the recursive executors) over the full,
-            # unsharded reference tree.
-            return _run_group(
-                self.reference_tree,
-                kind,
-                param,
-                points,
-                query_leaf_size=1,
-                flush_candidates=self.config.flush_candidates,
-                backend="auto",
-                order="preorder",
-                verdict_cache=None,
-            )
-        choice = self.choices[kind]
-        backend, order = choice.backend, choice.order
         # Scatter: the identical admitted batch runs against every
         # shard (concurrently across pool workers when configured)...
         if self.config.workers > 0:
@@ -465,11 +324,7 @@ class QueryService:
                     self.config.leaf_size,
                     kind,
                     self._shard_param(kind, param, shard),
-                    [tuple(p) for p in points],
-                    self.config.query_leaf_size,
-                    self.config.flush_candidates,
-                    backend,
-                    order,
+                    points,
                 )
                 for shard in self._shards
             ]
@@ -481,11 +336,6 @@ class QueryService:
                     kind,
                     self._shard_param(kind, param, shard),
                     points,
-                    query_leaf_size=self.config.query_leaf_size,
-                    flush_candidates=self.config.flush_candidates,
-                    backend=backend,
-                    order=order,
-                    verdict_cache=shard.verdict_cache,
                 )
                 for shard in self._shards
             ]
@@ -517,14 +367,14 @@ class QueryService:
     def execute_batch(self, queries: Sequence[Query]) -> list[Result]:
         """Answer one admitted tick, demuxed back to input order.
 
-        Queries are grouped by :func:`~repro.serve.protocol.group_key`;
-        each group becomes one batched outer tree and one run down the
-        group's pinned backend.  Row ``i`` of a group's result columns
-        belongs to the group's ``i``-th query, so demuxing is a direct
-        row lookup.
+        Every query is checked first (:meth:`check_query`), so a bad
+        one raises :class:`SpecError` before anything runs.  Queries
+        are grouped by :func:`~repro.serve.protocol.group_key`; each
+        group is one leaf frontier call per shard, and row ``i`` of its
+        columns belongs to the group's ``i``-th query.
         """
-        if not queries:
-            return []
+        for query in queries:
+            self.check_query(query)
         groups: dict[tuple, list[int]] = {}
         for index, query in enumerate(queries):
             groups.setdefault(group_key(query), []).append(index)
@@ -540,14 +390,20 @@ class QueryService:
         return results  # type: ignore[return-value]
 
     def execute_serial(self, queries: Sequence[Query]) -> list[Result]:
-        """The per-query serial oracle (one spec per query, auto backend)."""
+        """The per-query serial oracle: one dual-tree traversal per query.
+
+        Runs over the full, unsharded reference tree, so it checks the
+        frontier, the shard gather and the pool path at once.
+        """
         results: list[Result] = []
         for query in queries:
+            self.check_query(query)
             key = group_key(query)
-            columns = self._execute_group(
-                key,
-                np.array([query.point], dtype=float),
-                serial_oracle=True,
+            columns = _oracle_group(
+                self.reference_tree,
+                key[0],
+                self._group_param(key),
+                query.point,
             )
             results.append(self._demux(key, columns, 0))
         return results
@@ -564,25 +420,15 @@ class QueryService:
         return self._executor
 
     def service_stats(self) -> dict:
-        """Steady-state counters plus cache and analysis summaries."""
-        caches = [shard.verdict_cache.stats() for shard in self._shards]
+        """Steady-state counters plus the shard layout."""
         return {
             "queries": self.stats.queries,
             "batches": self.stats.batches,
             "max_batch_seen": self.stats.max_batch_seen,
             "per_kind": dict(self.stats.per_kind),
-            "verdict_cache": {
-                "entries": sum(c["entries"] for c in caches),
-                "max_entries": sum(c["max_entries"] for c in caches),
-                "hits": sum(c["hits"] for c in caches),
-                "misses": sum(c["misses"] for c in caches),
-            },
             "backends": {
-                kind: {
-                    "backend": choice.backend,
-                    "order": choice.order,
-                }
-                for kind, choice in self.choices.items()
+                kind: {"backend": "frontier", "order": "preorder"}
+                for kind in KINDS
             },
             "references": int(len(self.references)),
             "workers": self.config.workers,

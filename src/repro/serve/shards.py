@@ -1,21 +1,19 @@
 """Reference-set sharding: scatter one tick, gather exact answers.
 
 The serving data plane can hold the reference set as ``N`` independent
-kd-trees over contiguous slices of the published point array.  A tick's
-batched outer tree is *scattered* — the identical admitted-point batch
-runs against every shard — and the per-shard result columns are
-*gathered* back into exactly the columns the single-tree run would have
-produced.  Both gathers reuse reductions this repo has already proven:
+kd-trees over contiguous slices of the published point array.  A tick
+is *scattered* — the identical admitted-point batch runs against every
+shard — and the per-shard result columns are *gathered* back into
+exactly the columns the single-tree run would have produced.  Both gathers reuse reductions this repo has already proven:
 
 * **NN / k-NN** answers are *set states*: the final ``(dists, ids)``
   rows are the k lexicographically smallest ``(distance, id)`` pairs
   over the whole candidate set, an outcome independent of merge order
   and batch shape (the ``ServeKnnRules`` invariant).  Each shard's
-  conservative pruning keeps every candidate that could be in *its*
-  top-``min(k, shard_n)`` — a superset of the global top-k members
-  that live in that shard — and a point's distance to the query is a
-  function of the two coordinate tuples alone, so it is bit-identical
-  no matter which tree holds the point.  Concatenating the shard rows
+  answer is *its* exact top-``min(k, shard_n)`` — a superset of the
+  global top-k members that live in that shard — and a point's
+  distance to the query is a function of the two coordinate tuples
+  alone, so it is bit-identical no matter which tree holds the point.  Concatenating the shard rows
   (local ids rebased to global), lexicographically sorting, and taking
   the first ``k`` therefore reproduces the full-tree answer bit for
   bit, padding (``inf``/:data:`~repro.serve.rules.PAD_ID`) sorting
@@ -37,9 +35,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.dualtree.frontier import PAD_ID
 from repro.dualtree.spatial import SpatialTree
 from repro.errors import SpecError
-from repro.serve.rules import PAD_ID, SubtreeVerdictCache
 from repro.spaces.soa import SharedPublication
 
 
@@ -68,9 +66,6 @@ class ReferenceShard:
     tree: SpatialTree
     #: resident shared-memory publication pool workers attach to
     publication: SharedPublication
-    #: per-shard verdict rows (rows index *this* tree's node numbers,
-    #: so caches are never shared across trees)
-    verdict_cache: SubtreeVerdictCache
 
     @property
     def num_points(self) -> int:
@@ -115,8 +110,8 @@ def gather_neighbor_columns(
     """Exact NN/k-NN gather: rebase, concatenate, lexsort, take k.
 
     The sort key is ``(distance, global id)`` — the identical
-    tie-breaking ``ServeKnnRules`` applies inside a single tree — so
-    the gathered rows are the rows the full tree would have written.
+    tie-breaking a single tree's top-k applies — so the gathered rows
+    are the rows the full tree would have written.
     """
     if len(shard_columns) != len(id_bases):
         raise SpecError(

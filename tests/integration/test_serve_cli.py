@@ -14,7 +14,14 @@ import sys
 import pytest
 
 from repro.serve.client import ServeClient, wait_for_server
-from repro.serve.protocol import CountQuery, KNNQuery, NNQuery
+from repro.serve.protocol import (
+    CountQuery,
+    KNNQuery,
+    NNQuery,
+    NNResult,
+    decode_result,
+    encode_query,
+)
 from repro.serve.service import QueryService, ServiceConfig
 from repro.spaces.points import clustered_points
 
@@ -43,8 +50,8 @@ def sample_queries(n=45):
     return queries
 
 
-@pytest.fixture(scope="module")
-def server():
+def start_server(*extra):
+    """Start ``python -m repro.serve``; returns (process, port)."""
     port = free_port()
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -62,6 +69,7 @@ def server():
             str(SEED),
             "--max-hold-ms",
             "2",
+            *extra,
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -73,7 +81,10 @@ def server():
         process.kill()
         raise RuntimeError(f"server never came up:\n{process.communicate()[0]}")
     client.close()
-    yield port
+    return process, port
+
+
+def stop_server(process, port):
     try:
         with ServeClient("127.0.0.1", port, timeout=10) as client:
             client.shutdown()
@@ -81,6 +92,22 @@ def server():
     except Exception:
         process.kill()
         process.wait()
+    finally:
+        process.stdout.close()
+
+
+@pytest.fixture(scope="module")
+def server():
+    process, port = start_server()
+    yield port
+    stop_server(process, port)
+
+
+@pytest.fixture(scope="module")
+def sharded_server():
+    process, port = start_server("--shards", "2")
+    yield port
+    stop_server(process, port)
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +227,68 @@ class TestServerRoundTrip:
             response = json_module.loads(handle.readline())
         assert response["ok"] is False
         assert "k >= 1" in response["error"]
+
+
+#: Queries the service must refuse one by one: name -> (query, a
+#: fragment of the refusal).  The k case is 2**32 - 1 rather than 10**12
+#: so the binary framing's u32 can carry it; both exceed the reference
+#: count.
+BAD_QUERIES = {
+    "wrong dimension": (NNQuery((0.1, 0.2, 0.3)), "3 coordinates"),
+    "k above the reference count": (
+        KNNQuery((0.5, 0.5), 2**32 - 1),
+        "reference count",
+    ),
+    "infinite coordinate": (NNQuery((float("inf"), 0.5)), "not finite"),
+    "nan radius": (CountQuery((0.5, 0.5), float("nan")), "finite radius"),
+}
+
+
+def roundtrip_queries(client, queries):
+    """Pipeline queries; per query, its result or its error message."""
+    if client.framing == "binary":
+        requests = [{"op": "query", "query": q} for q in queries]
+    else:
+        requests = [
+            {"op": "query", "query": encode_query(q)} for q in queries
+        ]
+    answers = []
+    for response in client._roundtrip(requests):
+        if not response["ok"]:
+            answers.append(response["error"])
+        elif "binary_result" in response:
+            answers.append(response["binary_result"])
+        else:
+            answers.append(decode_result(response["result"]))
+    return answers
+
+
+class TestMalformedQueries:
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("framing", ["json", "binary"])
+    @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+    def test_a_bad_query_fails_alone(
+        self, request, oracle, sharded, framing, case
+    ):
+        port = request.getfixturevalue(
+            "sharded_server" if sharded else "server"
+        )
+        bad, refusal = BAD_QUERIES[case]
+        good = sample_queries()
+        # The bad query sits between valid queries of every kind, so it
+        # would have shared their admission ticks.
+        mixed = good[:6] + [bad] + good[6:12]
+        with ServeClient("127.0.0.1", port, framing=framing) as client:
+            answers = roundtrip_queries(client, mixed)
+            assert client.ping()  # the connection survived
+        assert refusal in answers[6]
+        assert answers[:6] + answers[7:] == oracle[:12]
+
+    def test_json_k_beyond_any_framing_is_refused(self, sharded_server):
+        # 10**12 neighbors would pad 7 TiB of shard columns if admitted.
+        with ServeClient("127.0.0.1", sharded_server) as client:
+            answers = roundtrip_queries(
+                client, [KNNQuery((0.5, 0.5), 10**12), NNQuery((0.5, 0.5))]
+            )
+        assert "reference count" in answers[0]
+        assert isinstance(answers[1], NNResult)

@@ -43,8 +43,8 @@ class TestGenerateWorkload:
         assert len(first) == SMALL.users
         kinds = {type(query) for query in first}
         assert kinds == {NNQuery, KNNQuery, CountQuery}
-        # The hot set makes queries recur — the skew the verdict cache
-        # and the admission batcher are built for.
+        # The hot set makes queries recur — the skew the admission
+        # batcher's dedup is built for.
         assert len(set(first)) < len(first)
 
 
@@ -61,9 +61,12 @@ class TestRunServeLoad:
             assert payload["latency_ms"][percentile] >= 0
         assert payload["serial"]["sampled"] == SMALL.serial_sample
         assert payload["serial"]["mean_ms"] > 0
-        assert set(payload["backends"]) == {"nn", "knn", "count"}
+        assert payload["backends"] == {
+            kind: {"backend": "frontier", "order": "preorder"}
+            for kind in ("nn", "knn", "count")
+        }
         assert payload["batcher"]["ticks"] >= 1
-        assert "hits" in payload["verdict_cache"]
+        assert "query_leaf_size" not in payload["config"]
 
         rendered = report.render()
         assert "queries/sec (batched service)" in rendered

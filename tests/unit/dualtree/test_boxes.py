@@ -49,6 +49,24 @@ class TestHRect:
         assert pairwise.max() <= a.max_dist(b) + 1e-9
         assert pairwise.min() >= a.min_dist(b) - 1e-9
 
+    @pytest.mark.parametrize("dim", [3, 8, 11])
+    def test_min_dist_never_exceeds_a_computed_distance(self, dim):
+        # Zero-volume boxes are points, so min_dist must be <= the
+        # computed point distance bit for bit; from 8 dimensions up
+        # that needs NumPy's pairwise summation, not a left-to-right sum.
+        from repro.dualtree.batch import BoundArrays, min_dists_to_tree
+        from repro.dualtree.rules import _pairwise_distances
+
+        rng = np.random.default_rng(dim)
+        queries, points = rng.random((40, dim)), rng.random((60, dim))
+        distances = _pairwise_distances(queries, points)
+        arrays = BoundArrays(mins=points, maxs=points)
+        for row, query in enumerate(queries):
+            box = HRect(query, query)
+            scalar = np.array([box.min_dist(HRect(p, p)) for p in points])
+            assert np.array_equal(scalar, min_dists_to_tree(box, arrays))
+            assert np.all(scalar <= distances[row])
+
     def test_contains_point(self):
         box = HRect((0, 0), (1, 1))
         assert box.contains_point((0.5, 1.0))

@@ -1,11 +1,10 @@
-"""Serving rule sets: batch-shape robustness and the verdict cache.
+"""Serving rule sets: batch-shape robustness of the serial oracle.
 
 The load-bearing claim is the module docstring proof in
-``repro.serve.rules``: demuxed per-query answers are bit-identical to
-per-query serial execution no matter how admission slices queries into
-batches, what the query-tree leaf size is, how big the k-NN merge
-buffer is, or whether cached truncation verdicts short-circuit the
-count prune.  These tests sweep exactly those axes.
+``repro.serve.rules``: the rules' answers are a function of the visited
+candidate set only, so they are bit-identical no matter how queries are
+sliced into batches, what the query-tree leaf size is, or how big the
+k-NN merge buffer is.  These tests sweep exactly those axes.
 """
 
 import numpy as np
@@ -15,12 +14,7 @@ from repro.core.schedules import ORIGINAL
 from repro.dualtree.kdtree import build_kdtree
 from repro.dualtree.traverser import dual_tree_spec
 from repro.errors import SpecError
-from repro.serve.rules import (
-    PAD_ID,
-    ServeCountRules,
-    ServeKnnRules,
-    SubtreeVerdictCache,
-)
+from repro.serve.rules import PAD_ID, ServeCountRules, ServeKnnRules
 from repro.spaces.points import clustered_points
 
 REFERENCES = clustered_points(512, clusters=8, spread=0.08, seed=3)
@@ -33,13 +27,10 @@ def reference_tree():
 
 
 def run_count(
-    points, reference_tree, radius=0.3, leaf_size=16, cache=None,
-    backend="auto",
+    points, reference_tree, radius=0.3, leaf_size=16, backend="auto"
 ):
     query_tree = build_kdtree(np.array(points, copy=True), leaf_size)
-    rules = ServeCountRules(
-        query_tree, reference_tree, radius, verdict_cache=cache
-    )
+    rules = ServeCountRules(query_tree, reference_tree, radius)
     spec = dual_tree_spec(query_tree, reference_tree, rules, name="SERVE-COUNT")
     ORIGINAL.run(spec, backend=backend)
     return rules.counts.copy()
@@ -74,85 +65,15 @@ class TestCountBatchRobustness:
             )
             assert np.array_equal(counts, oracle), leaf_size
 
-    def test_cached_prune_is_count_exact(self, reference_tree):
-        oracle = serial_counts(reference_tree)
-        cache = SubtreeVerdictCache()
-        # Twice through the same cache: the second pass decides from
-        # hot rows only, and both must still match the oracle exactly.
-        first = run_count(QUERIES, reference_tree, cache=cache)
-        second = run_count(QUERIES, reference_tree, cache=cache)
-        assert np.array_equal(first, oracle)
-        assert np.array_equal(second, oracle)
-        assert cache.hits > 0
-
-    def test_scalar_and_block_score_agree_with_cache(self, reference_tree):
-        cache = SubtreeVerdictCache()
-        batched = run_count(
-            QUERIES, reference_tree, cache=cache, backend="batched"
-        )
-        recursive = run_count(
-            QUERIES, reference_tree, cache=cache, backend="recursive"
-        )
+    def test_scalar_and_block_score_agree(self, reference_tree):
+        batched = run_count(QUERIES, reference_tree, backend="batched")
+        recursive = run_count(QUERIES, reference_tree, backend="recursive")
         assert np.array_equal(batched, recursive)
 
     def test_negative_radius_rejected(self, reference_tree):
         query_tree = build_kdtree(np.array(QUERIES, copy=True), 16)
         with pytest.raises(SpecError, match="negative radius"):
             ServeCountRules(query_tree, reference_tree, -0.1)
-
-
-class TestVerdictCacheKeying:
-    def test_hot_points_hit_across_differently_shaped_batches(
-        self, reference_tree
-    ):
-        # The same hot points arrive inside two very different batches
-        # (different companions, different tree shapes).  Bound-keyed
-        # caching would miss; point-keyed caching must hit.
-        cache = SubtreeVerdictCache()
-        hot = QUERIES[:16]
-        rng = np.random.default_rng(9)
-        batch_a = np.concatenate([hot, QUERIES[16:48]])
-        batch_b = np.concatenate([hot, QUERIES[48:96]])
-        rng.shuffle(batch_b)
-        run_count(batch_a, reference_tree, cache=cache)
-        misses_after_first = cache.misses
-        run_count(batch_b, reference_tree, cache=cache)
-        assert cache.hits >= len(hot)
-        # Only batch_b's genuinely new points missed on the second run.
-        assert cache.misses - misses_after_first <= 48
-
-    def test_rows_are_read_only(self):
-        cache = SubtreeVerdictCache()
-        stored = cache.store(((0.0,), 0.3), np.array([True, False]))
-        with pytest.raises(ValueError):
-            stored[0] = False
-
-    def test_lru_eviction_at_capacity(self):
-        cache = SubtreeVerdictCache(max_entries=2)
-        row = np.array([True])
-        cache.store(("a", 0.3), row)
-        cache.store(("b", 0.3), row)
-        assert cache.lookup(("a", 0.3)) is not None  # refresh a
-        cache.store(("c", 0.3), row)  # evicts b, the stalest
-        assert cache.lookup(("b", 0.3)) is None
-        assert cache.lookup(("a", 0.3)) is not None
-        assert cache.lookup(("c", 0.3)) is not None
-
-    def test_stats_and_clear(self):
-        cache = SubtreeVerdictCache()
-        cache.store(("a", 0.3), np.array([True]))
-        cache.lookup(("a", 0.3))
-        cache.lookup(("gone", 0.3))
-        stats = cache.stats()
-        assert stats == {
-            "entries": 1, "max_entries": 1024, "hits": 1, "misses": 1
-        }
-        cache.clear()
-        assert cache.stats()["entries"] == 0
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(SpecError, match="max_entries"):
-            SubtreeVerdictCache(max_entries=0)
 
 
 class TestKnnBatchRobustness:

@@ -1,4 +1,4 @@
-"""QueryService: startup analysis, batch execution, demux, lifecycle."""
+"""QueryService: startup, query checks, tick execution, demux, lifecycle."""
 
 import os
 
@@ -49,20 +49,21 @@ def service():
     service.close()
 
 
-class TestStartupAnalysis:
-    def test_every_kind_gets_a_pinned_choice(self, service):
-        assert set(service.choices) == set(KINDS)
-        for kind in KINDS:
-            entry = service.analysis[kind]
-            assert entry["backend"] == service.choices[kind].backend
-            assert "conformance" in entry
-            assert "lowerability" in entry
+class TestStartup:
+    def test_every_kind_reports_the_frontier(self, service):
+        backends = service.service_stats()["backends"]
+        assert backends == {
+            kind: {"backend": "frontier", "order": "preorder"}
+            for kind in KINDS
+        }
 
     def test_reference_accelerators_are_warm(self, service):
-        # Finalize-once: the executors' lazily-built staging arrays
-        # must already hang off the resident tree.
-        assert getattr(service.reference_tree, "_leaf_blocks", None) is not None
-        assert getattr(service.reference_tree, "_bound_arrays", None) is not None
+        # Finalize-once: the frontier's and the oracle's lazily-built
+        # staging arrays must already hang off the resident tree.
+        tree = service.reference_tree
+        assert getattr(tree, "_leaf_blocks", None) is not None
+        assert getattr(tree, "_bound_arrays", None) is not None
+        assert getattr(tree, "_leaf_bounds", None) is not None
 
     def test_publication_carries_the_reference_points(self, service):
         arrays = service.publication.arrays()
@@ -75,7 +76,7 @@ class TestStartupAnalysis:
     def test_bad_config_rejected(self):
         with pytest.raises(SpecError, match="max_batch"):
             ServiceConfig(max_batch=0)
-        with pytest.raises(SpecError, match="leaf sizes"):
+        with pytest.raises(SpecError, match="leaf_size"):
             ServiceConfig(leaf_size=0)
         with pytest.raises(SpecError, match="workers"):
             ServiceConfig(workers=-1)
@@ -110,18 +111,6 @@ class TestBatchVsSerial:
     def test_empty_batch(self, service):
         assert service.execute_batch([]) == []
 
-    def test_verdict_cache_hits_across_ticks(self, service):
-        service.verdict_cache.clear()
-        queries = [
-            CountQuery(tuple(float(v) for v in point), 0.3)
-            for point in clustered_points(32, clusters=4, spread=0.05, seed=7)
-        ]
-        service.execute_batch(queries)
-        assert service.verdict_cache.hits == 0
-        # The same hot points inside a different batch: all rows hot.
-        service.execute_batch(queries[16:] + queries[:8])
-        assert service.verdict_cache.hits > 0
-
     def test_stats_account_queries_and_batches(self):
         references = clustered_points(256, clusters=4, spread=0.08, seed=2)
         with QueryService(references) as service:
@@ -133,13 +122,54 @@ class TestBatchVsSerial:
         assert stats["references"] == 256
 
 
+class TestQueryChecks:
+    """A query the service cannot answer fails alone, before any work."""
+
+    BAD = {
+        "wrong dimension": NNQuery((0.1, 0.2, 0.3)),
+        "k above the reference count": KNNQuery((0.5, 0.5), 10**12),
+        "k of zero": KNNQuery((0.5, 0.5), 0),
+        "infinite coordinate": NNQuery((float("inf"), 0.5)),
+        "nan coordinate": CountQuery((float("nan"), 0.5), 0.3),
+        "nan radius": CountQuery((0.5, 0.5), float("nan")),
+        "infinite radius": CountQuery((0.5, 0.5), float("inf")),
+        "negative radius": CountQuery((0.5, 0.5), -0.1),
+    }
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_execute_batch_raises_before_running_anything(self, case, shards):
+        references = clustered_points(64, clusters=4, spread=0.08, seed=6)
+        good = NNQuery((0.5, 0.5))
+        with QueryService(references, ServiceConfig(shards=shards)) as service:
+            with pytest.raises(SpecError):
+                service.execute_batch([good, self.BAD[case], good])
+            assert service.service_stats()["queries"] == 0
+            # The service is unharmed: the good queries still answer.
+            assert service.execute_batch([good]) == service.execute_serial(
+                [good]
+            )
+
+    def test_boundary_values_are_accepted(self, service):
+        n = len(service.references)
+        queries = [
+            KNNQuery((0.5, 0.5), n),
+            KNNQuery((0.5, 0.5), 1),
+            CountQuery((0.5, 0.5), 0.0),
+        ]
+        assert service.execute_batch(queries) == service.execute_serial(
+            queries
+        )
+
+
 class TestPooledExecution:
-    def test_worker_pool_matches_the_oracle(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_worker_pool_matches_the_oracle(self, shards):
         references = clustered_points(384, clusters=4, spread=0.08, seed=3)
         queries = mixed_queries(24, seed=13)
         before = shm_entries()
         with QueryService(
-            references, ServiceConfig(workers=1)
+            references, ServiceConfig(workers=1, shards=shards)
         ) as service:
             oracle = service.execute_serial(queries)
             pooled = service.execute_batch(queries)

@@ -12,8 +12,10 @@ analyzers conclude:
   the per-transform verdicts with their codes.
 
 The specs are the seven ``wallclock_cases(0.05)`` benchmarks, the
-``GramTable`` fixture at the same scale, and the three serve-kind
-analysis specs built exactly as ``QueryService._analyze`` builds them.
+``GramTable`` fixture at the same scale, and one serve-rules spec per
+query kind: a 256-point query tree with 64-point leaves against a
+default-leaf-size reference tree (k = 5 for k-NN, radius 0.3 for
+count).
 The fixture is the contract for any rework of the analyzers' shared
 front end: a change that moves one verdict or one diagnostic code shows
 up here as a diff.  Regenerate it (only when a verdict change is the
@@ -33,7 +35,7 @@ GOLDEN = Path(__file__).with_name("analyzer_golden.json")
 
 
 def _serve_analysis_specs() -> list:
-    """The per-kind startup analysis specs of a default ``QueryService``."""
+    """One batched serve-rules spec per query kind."""
     from repro.dualtree.batch import bound_arrays, leaf_blocks
     from repro.dualtree.kdtree import build_kdtree
     from repro.dualtree.traverser import dual_tree_spec
@@ -48,13 +50,11 @@ def _serve_analysis_specs() -> list:
     sample = exec_tree.points[: min(config.max_batch, len(exec_tree.points))]
     specs = []
     for kind in KINDS:
-        query_tree = build_kdtree(
-            np.array(sample, copy=True), config.query_leaf_size
-        )
+        query_tree = build_kdtree(np.array(sample, copy=True), 64)
         if kind == "count":
-            rules = ServeCountRules(query_tree, exec_tree, config.analysis_radius)
+            rules = ServeCountRules(query_tree, exec_tree, 0.3)
         else:
-            k = config.analysis_k if kind == "knn" else 1
+            k = 5 if kind == "knn" else 1
             rules = ServeKnnRules(query_tree, exec_tree, k)
         name = f"SERVE-{kind.upper()}"
         specs.append(
@@ -122,8 +122,9 @@ def test_analyzers_match_the_golden_fixture():
 
 
 def test_every_serve_kind_is_vectorizable():
-    """The serve hot path rests on these: ``count`` keeps ``batched``
-    only because staged helper calls are not counted as kernel writes."""
+    """The serve oracle's rules stay vectorizable on ``auto``: ``count``
+    keeps ``batched`` only because staged helper calls are not counted
+    as kernel writes."""
     expected = json.loads(GOLDEN.read_text())
     for kind in ("NN", "KNN", "COUNT"):
         backends = expected[f"SERVE-{kind}"]["conformance"]["backends"]
