@@ -1,15 +1,17 @@
 """Automatic backend selection (``backend="auto"``).
 
-Three executor families now realize every schedule — recursive
-(faithful, lowest constant overhead), batched
-(:mod:`repro.core.batched`), and SoA (:mod:`repro.core.soa_exec`) —
-and no single one wins everywhere: the batched engine's barrier
-flushes *regress* the pruning-heavy guided traversals (NN/KNN/VP)
-while winning big on work-dense schedules, and the SoA engine's
-packed-view setup is wasted on tiny spaces.  ``backend="auto"`` runs
-the cheap calibration probe below once per (spec, schedule) and picks
-a backend from structural features, so callers get near-best wall
-clock without sweeping.
+Five executor families realize every schedule.  Three run any spec —
+recursive (faithful, lowest constant overhead), batched
+(:mod:`repro.core.batched`) and SoA (:mod:`repro.core.soa_exec`) — and
+two need a proof: compiled (:mod:`repro.core.compiled`, a TW20x
+``lowerable`` verdict) and parallel (:mod:`repro.core.parallel_exec`,
+a parallel plan with proven outer independence).  No single one wins
+everywhere: the batched engine's barrier flushes *regress* the
+pruning-heavy guided traversals (NN/KNN/VP) while winning big on
+work-dense schedules, and the SoA engine's packed-view setup is wasted
+on tiny spaces.  ``backend="auto"`` runs the cheap calibration probe
+below once per (spec, schedule) and picks a backend from structural
+features, so callers get near-best wall clock without sweeping.
 
 The probe is deliberately *read-only*: it never calls ``work`` and
 never calls a truncation predicate unless the spec itself declares
@@ -27,14 +29,13 @@ from __future__ import annotations
 
 import os
 import warnings
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
 from repro.core.spec import NestedRecursionSpec
 from repro.errors import ScheduleError
+from repro.memo import TreeMemo
 
 #: The ungated executor families: they run every spec, with no proof
 #: or parallel plan needed.  ``choose_backend`` may also return the
@@ -151,12 +152,6 @@ def _sample_truncation_density(spec: NestedRecursionSpec) -> Optional[float]:
     return pruned / (sampled * inner_size)
 
 
-#: Most recent analyzer failure (``None`` after a clean call).  Written
-#: by :func:`conformance_verdicts`, consumed by :func:`_refuse_unproven`
-#: so the failure lands in ``BackendChoice.features`` without changing
-#: the public return contract.
-_LAST_CONFORMANCE_ERROR: Optional[str] = None
-
 #: One-shot guard: the analyzer-failure warning is emitted once per
 #: process, not once per selection.
 _CONFORMANCE_WARNED = False
@@ -164,42 +159,8 @@ _CONFORMANCE_WARNED = False
 
 def _reset_conformance_warning() -> None:
     """Re-arm the one-shot analyzer-failure warning (test hook)."""
-    global _CONFORMANCE_WARNED, _LAST_CONFORMANCE_ERROR
+    global _CONFORMANCE_WARNED
     _CONFORMANCE_WARNED = False
-    _LAST_CONFORMANCE_ERROR = None
-
-
-def conformance_verdicts(spec: NestedRecursionSpec) -> Optional[dict]:
-    """Per-backend conformance verdicts from the static analyzer.
-
-    Returns ``{"recursive"|"batched"|"soa": "safe"|"needs-dynamic-check"
-    |"unsafe"}`` via :func:`repro.transform.lint.backend.lint_spec`
-    (memoized on the kernels' code objects, so this is cheap after the
-    first call per spec family), or ``None`` when the analyzer itself
-    fails.  The failure is *recorded*: a one-shot
-    :class:`RuntimeWarning`, and :func:`_refuse_unproven` puts a
-    ``"conformance_error"`` entry in the returned
-    :class:`BackendChoice`'s features while refusing the unproven
-    vectorized pick in favour of the reference executors.
-    """
-    global _LAST_CONFORMANCE_ERROR, _CONFORMANCE_WARNED
-    _LAST_CONFORMANCE_ERROR = None
-    try:
-        from repro.transform.lint.backend import lint_spec
-
-        return dict(lint_spec(spec).backends)
-    except Exception as exc:  # analyzer must never block runs
-        _LAST_CONFORMANCE_ERROR = f"{type(exc).__name__}: {exc}"
-        if not _CONFORMANCE_WARNED:
-            _CONFORMANCE_WARNED = True
-            warnings.warn(
-                "backend-conformance analyzer failed "
-                f"({_LAST_CONFORMANCE_ERROR}); unproven vectorized "
-                "backends are refused in favour of the recursive executors",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return None
 
 
 def _with_evidence(choice: BackendChoice, codes) -> BackendChoice:
@@ -215,43 +176,42 @@ def _with_evidence(choice: BackendChoice, codes) -> BackendChoice:
     return replace(choice, evidence=merged)
 
 
-def _conformance_codes(spec: NestedRecursionSpec) -> tuple:
-    """Every TW1xx code the conformance analyzer raised for this spec.
-
-    A separate entry point from :func:`conformance_verdicts` (which
-    returns only the per-backend verdicts and is the documented test
-    seam): the downgrade path needs the *complete* diagnostic code
-    list as evidence, not just the verdict that triggered it.  Any
-    analyzer failure degrades to an empty tuple — evidence is
-    best-effort provenance, never a gate.
-    """
-    try:
-        from repro.transform.lint.backend import lint_spec
-
-        return tuple(sorted(lint_spec(spec).codes()))
-    except Exception:
-        return ()
-
-
 def _refuse_unproven(
     choice: BackendChoice, spec: NestedRecursionSpec
 ) -> BackendChoice:
     """Never return a backend whose conformance verdict is ``unsafe``.
 
-    A ``needs-dynamic-check`` verdict stays selectable (the holes are
-    warnings, dischargeable via ``backend="sanitize"``); an ``unsafe``
-    verdict means a kernel *refutes* scalar equivalence, so the
-    selector swaps to the other vectorized backend when that one is
-    proven safe, else to the reference executors.  Either downgrade
-    records the analyzer's *full* diagnostic code list as evidence —
-    citing only the triggering verdict used to hide the sibling
-    findings a caller would need to discharge the refusal.  An
-    analyzer crash proves nothing, so it refuses too: the reference
-    executors run, and the error lands in ``features``.
+    One :func:`repro.transform.lint.backend.lint_spec` call (memoized on
+    the kernels' code objects) gives the per-backend verdicts and the
+    full TW1xx code list.  A ``needs-dynamic-check`` verdict stays
+    selectable (the holes are warnings, dischargeable via
+    ``backend="sanitize"``); an ``unsafe`` verdict means a kernel
+    *refutes* scalar equivalence, so the selector swaps to the other
+    vectorized backend when that one is proven safe, else to the
+    reference executors.  Either downgrade records the analyzer's
+    *full* diagnostic code list as evidence — citing only the
+    triggering verdict used to hide the sibling findings a caller would
+    need to discharge the refusal.  An analyzer crash proves nothing,
+    so it refuses too: the reference executors run, the error lands in
+    ``features["conformance_error"]``, and a :class:`RuntimeWarning`
+    is issued once per process.
     """
-    verdicts = conformance_verdicts(spec)
-    if verdicts is None:
-        error = _LAST_CONFORMANCE_ERROR or "no verdicts"
+    global _CONFORMANCE_WARNED
+    try:
+        from repro.transform.lint.backend import lint_spec
+
+        report = lint_spec(spec)
+    except Exception as exc:  # the analyzer must never block runs
+        error = f"{type(exc).__name__}: {exc}"
+        if not _CONFORMANCE_WARNED:
+            _CONFORMANCE_WARNED = True
+            warnings.warn(
+                f"backend-conformance analyzer failed ({error}); unproven "
+                "vectorized backends are refused in favour of the "
+                "recursive executors",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         choice.features["conformance_error"] = error
         return BackendChoice(
             "recursive",
@@ -262,12 +222,13 @@ def _refuse_unproven(
             order=choice.order,
             evidence=choice.evidence,
         )
+    verdicts = report.backends
     # The compiled backend executes the same work_batch_soa kernel the
     # SoA engine dispatches, so it stands or falls with the soa verdict.
     verdict_key = "soa" if choice.backend == "compiled" else choice.backend
     if verdicts.get(verdict_key) != "unsafe":
         return choice
-    evidence = _conformance_codes(spec)
+    evidence = tuple(sorted(report.codes()))
     alternate = "soa" if verdict_key == "batched" else "batched"
     if verdicts.get(alternate) == "safe":
         # The order recommendation is evidence about the *spec* (its
@@ -352,70 +313,11 @@ def _locality_prior(spec: NestedRecursionSpec, features: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # Probe-once choice cache (keyed by finalized-tree identity)
 
-#: key -> (outer ref, inner ref, outer size, inner size, choice).  The
-#: key pairs the live roots' ids with the kernels' code-object key, so
-#: a fresh spec instance over the *same finalized trees* (a resident
-#: service re-specs per batch) hits without re-probing; the weakrefs
-#: and stored sizes invalidate the entry if a root dies (ids can be
-#: reused) or is re-finalized to a different shape.
-_CHOICE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_CHOICE_CACHE_CAP = 64
-
-
-def _choice_cache_key(
-    spec: NestedRecursionSpec, schedule_name: str, allow_unproven: bool
-) -> Optional[tuple]:
-    try:
-        from repro.transform.lint.kernel_ir import spec_cache_key
-
-        kernel_key = spec_cache_key(spec)
-    except Exception:  # un-keyable spec: selection just runs uncached
-        return None
-    return (
-        id(spec.outer_root),
-        id(spec.inner_root),
-        kernel_key,
-        schedule_name,
-        bool(allow_unproven),
-        spec.parallel_plan is not None,
-    )
-
-
-def _choice_cache_get(
-    key: tuple, spec: NestedRecursionSpec
-) -> Optional[BackendChoice]:
-    entry = _CHOICE_CACHE.get(key)
-    if entry is None:
-        return None
-    ref_outer, ref_inner, outer_size, inner_size, choice = entry
-    if (
-        ref_outer() is spec.outer_root
-        and ref_inner() is spec.inner_root
-        and spec.outer_root.size == outer_size
-        and spec.inner_root.size == inner_size
-    ):
-        _CHOICE_CACHE.move_to_end(key)
-        return choice
-    del _CHOICE_CACHE[key]
-    return None
-
-
-def _choice_cache_put(
-    key: tuple, spec: NestedRecursionSpec, choice: BackendChoice
-) -> None:
-    try:
-        entry = (
-            weakref.ref(spec.outer_root),
-            weakref.ref(spec.inner_root),
-            spec.outer_root.size,
-            spec.inner_root.size,
-            choice,
-        )
-    except TypeError:  # un-weakrefable custom nodes: skip caching
-        return
-    _CHOICE_CACHE[key] = entry
-    while len(_CHOICE_CACHE) > _CHOICE_CACHE_CAP:
-        _CHOICE_CACHE.popitem(last=False)
+#: Pinned to the live roots, so a fresh spec instance over the *same
+#: finalized trees* (a resident service re-specs per batch) hits without
+#: re-probing, and an entry goes when a root dies.  The key carries the
+#: roots' sizes, so a root re-finalized to a different shape misses.
+_CHOICE_CACHE = TreeMemo(cap=64)
 
 
 def clear_choice_cache() -> None:
@@ -444,19 +346,25 @@ def choose_backend(
     part of the memo key) but never changes the verdict: the decision
     table's calibration found schedule-independent winners.
     """
-    if features is None:
-        cache_key = _choice_cache_key(spec, schedule_name, allow_unproven)
-        if cache_key is not None:
-            cached = _choice_cache_get(cache_key, spec)
-            if cached is not None:
-                return cached
-    else:
-        cache_key = None
-    choice = _choose_backend_uncached(
-        spec, schedule_name, features, allow_unproven
+    if features is not None:
+        return _choose_backend_uncached(
+            spec, schedule_name, features, allow_unproven
+        )
+    from repro.transform.lint.kernel_ir import spec_cache_key
+
+    roots = (spec.outer_root, spec.inner_root)
+    key = (
+        spec_cache_key(spec),
+        spec.outer_root.size,
+        spec.inner_root.size,
+        schedule_name,
+        bool(allow_unproven),
+        spec.parallel_plan is not None,
     )
-    if cache_key is not None:
-        _choice_cache_put(cache_key, spec, choice)
+    choice = _CHOICE_CACHE.get(key, roots)
+    if choice is None:
+        choice = _choose_backend_uncached(spec, schedule_name, None, allow_unproven)
+        _CHOICE_CACHE.put(key, roots, choice)
     return choice
 
 
@@ -521,9 +429,11 @@ def _choose_backend_uncached(
        0.067s veb vs 0.079s preorder), so the choice recommends
        ``order="veb"``.
     6. **Everything else -> batched.**  Stateless irregular specs (PC)
-       and plain ``work_batch`` specs ride the mature node-block
-       engine; the SoA engine matches it within noise here, so the
-       tie breaks toward the longer-serving backend.
+       and plain ``work_batch`` specs ride the node-block engine.
+       BENCH_soa.json splits PC by schedule — batched wins twist (1.60s
+       vs 1.91s soa), soa wins original (0.49s vs 0.69s) — and the
+       table is schedule-independent, so it keeps the paper's headline
+       (twist) winner.
     """
     if features is None:
         features = probe_features(spec)

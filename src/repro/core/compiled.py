@@ -47,8 +47,6 @@ delegate to the SoA executors (identical events by construction), so
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from typing import Iterator, Optional
 
 import numpy as np
@@ -64,6 +62,7 @@ from repro.core.soa_exec import (
 )
 from repro.core.spec import NestedRecursionSpec
 from repro.errors import ScheduleError
+from repro.memo import TreeMemo
 from repro.spaces.soa import SoATree, soa_view
 from repro.transform.lower_codegen import (
     FusedKernel,
@@ -79,7 +78,6 @@ __all__ = [
     "run_interchanged_compiled",
     "run_original_compiled",
     "run_twisted_compiled",
-    "set_position_cache_limits",
 ]
 
 #: Pairs per kernel dispatch.  Large enough that the per-block Python
@@ -261,53 +259,22 @@ def _twist_sequence(
     return filler.rows, filler.cols
 
 
-_POSITIONS: "OrderedDict[tuple, tuple]" = OrderedDict()
-#: Twist sequences only (the closed-form orders are streamed).  Bounded
-#: twice over: the entry cap bounds the count, the byte cap the
-#: footprint (a handful of large-tree entries can dwarf dozens of small
-#: ones) — a bench sweep or a resident service must not hoard memory.
-#: Eviction is LRU under both.
-_POSITIONS_CAP = 8
-_POSITIONS_MAX_BYTES = 256 * 1024 * 1024
-
-
-def _positions_nbytes() -> int:
-    return sum(
-        rows.nbytes + cols.nbytes
-        for _ref_o, _ref_i, rows, cols in _POSITIONS.values()
-    )
+#: Twist sequences only (the closed-form orders are streamed), pinned
+#: to their live trees.  Bounded twice over: the entry cap bounds the
+#: count, the byte cap the footprint (a handful of large-tree entries
+#: can dwarf dozens of small ones) — a bench sweep or a resident service
+#: must not hoard memory.  Eviction is LRU under both.
+_POSITIONS = TreeMemo(cap=8, max_bytes=256 * 1024 * 1024)
 
 
 def position_cache_info() -> dict:
     """Entry/byte usage of the twist-sequence cache (for tests and stats)."""
     return {
         "entries": len(_POSITIONS),
-        "bytes": _positions_nbytes(),
-        "max_entries": _POSITIONS_CAP,
-        "max_bytes": _POSITIONS_MAX_BYTES,
+        "bytes": _POSITIONS.nbytes,
+        "max_entries": _POSITIONS.cap,
+        "max_bytes": _POSITIONS.max_bytes,
     }
-
-
-def set_position_cache_limits(
-    max_entries: Optional[int] = None, max_bytes: Optional[int] = None
-) -> tuple[int, int]:
-    """Adjust the cache bounds; returns the previous ``(max_entries, max_bytes)``.
-
-    Limits apply on the next insertion (shrinking does not evict
-    retroactively until something is cached).  Long-lived services can
-    tighten these to match their memory budget.
-    """
-    global _POSITIONS_CAP, _POSITIONS_MAX_BYTES
-    previous = (_POSITIONS_CAP, _POSITIONS_MAX_BYTES)
-    if max_entries is not None:
-        if max_entries < 1:
-            raise ScheduleError("position cache needs max_entries >= 1")
-        _POSITIONS_CAP = max_entries
-    if max_bytes is not None:
-        if max_bytes < 1:
-            raise ScheduleError("position cache needs max_bytes >= 1")
-        _POSITIONS_MAX_BYTES = max_bytes
-    return previous
 
 
 def _cached_twist(
@@ -318,27 +285,13 @@ def _cached_twist(
     cutoff: Optional[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The narrow twist sequence for these live trees, generated on a miss."""
-    key = (id(spec.outer_root), id(spec.inner_root), order, cutoff)
-    hit = _POSITIONS.get(key)
-    if hit is not None:
-        ref_o, ref_i, rows, cols = hit
-        if ref_o() is spec.outer_root and ref_i() is spec.inner_root:
-            _POSITIONS.move_to_end(key)
-            return rows, cols
-        del _POSITIONS[key]
-    rows, cols = _twist_sequence(outer, inner, cutoff)
-    _POSITIONS[key] = (
-        weakref.ref(spec.outer_root),
-        weakref.ref(spec.inner_root),
-        rows,
-        cols,
-    )
-    while _POSITIONS and (
-        len(_POSITIONS) > _POSITIONS_CAP
-        or _positions_nbytes() > _POSITIONS_MAX_BYTES
-    ):
-        _POSITIONS.popitem(last=False)
-    return rows, cols
+    roots = (spec.outer_root, spec.inner_root)
+    key = (order, cutoff)
+    hit = _POSITIONS.get(key, roots)
+    if hit is None:
+        hit = _twist_sequence(outer, inner, cutoff)
+        _POSITIONS.put(key, roots, hit, hit[0].nbytes + hit[1].nbytes)
+    return hit
 
 
 def _position_arrays(

@@ -150,6 +150,9 @@ class _SingleNodeView(IndexNode):
         self.size = 1
         self.number = base.number
         self.children = ()
+        # Set, so the delegation below cannot hand soa_view the base
+        # node's packed whole-subtree views.
+        self._soa_views = None
 
     def __getattr__(self, name):  # pragma: no cover - delegation shim
         return getattr(self.base, name)

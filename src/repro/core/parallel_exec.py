@@ -9,8 +9,9 @@ hardware:
   (packed SoA payload/topology columns, matrices, point sets) once via
   ``multiprocessing.shared_memory``; workers attach zero-copy and
   rebuild the spec locally from a module-level *worker factory*, so a
-  task submission ships only ``(outer_rank, schedule, order)``
-  descriptors — never pickled trees;
+  task submission ships only ``(outer_rank, is_view)`` descriptors plus
+  the schedule, order and the parent's concrete task backend — never
+  pickled trees, and never a selection left for the worker to make;
 * the **thread engine** runs the identical chunk runner on
   ``ThreadPoolExecutor`` workers sharing the parent's arrays directly,
   the right choice when ``work_batch_soa`` kernels spend their time in
@@ -54,8 +55,8 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -79,10 +80,7 @@ from repro.core.spec import NestedRecursionSpec
 from repro.errors import ParallelWorkerError, ScheduleError
 from repro.spaces.soa import (
     ResultColumn,
-    SharedArrayHandle,
-    SharedPublication,
     attach_shared_arrays,
-    attach_shared_arrays_cached,
     close_shared_segments,
     export_shared_arrays,
     reduce_sum_columns,
@@ -92,7 +90,8 @@ from repro.spaces.soa import (
 #: :mod:`repro.core.parallel`).
 REAL_ENGINES = ("process", "thread")
 
-#: Executor families a task may run on inside a worker.
+#: Executor families a caller may name for the tasks.  ``auto`` is
+#: resolved once, in the parent, so workers never run the selector.
 TASK_BACKENDS = ("recursive", "batched", "soa", "auto")
 
 
@@ -175,8 +174,10 @@ class ParallelExecReport:
     #: parent-observed wall seconds for the whole run (includes
     #: publication, pool startup, and reduction)
     wall_seconds: float
-    #: executor family the tasks ran on
-    task_backend: str = "auto"
+    #: concrete executor family the tasks ran on (``auto`` is resolved
+    #: before it is recorded); single-node-view tasks carry no SoA
+    #: kernel, so they run ``soa`` where this says ``compiled``
+    task_backend: str
 
     @property
     def num_tasks(self) -> int:
@@ -231,9 +232,7 @@ def _static_independence_proof(spec) -> Optional[tuple[bool, str]]:
     )
 
 
-def check_outer_independence(
-    plan: ParallelPlan, spec=None, use_cache: bool = True
-) -> tuple[bool, str]:
+def check_outer_independence(plan: ParallelPlan, spec=None) -> tuple[bool, str]:
     """Prove (or refute) the §3.3 criterion for one plan.
 
     When the owning ``spec`` is supplied, the static TW21x
@@ -248,7 +247,7 @@ def check_outer_independence(
     Verdicts are cached per ``witness_key``, so the proof (static or
     dynamic) is discharged once per benchmark family.
     """
-    if use_cache and plan.witness_key in _INDEPENDENCE_CACHE:
+    if plan.witness_key in _INDEPENDENCE_CACHE:
         return _INDEPENDENCE_CACHE[plan.witness_key]
     if spec is not None:
         static = _static_independence_proof(spec)
@@ -305,11 +304,12 @@ def _execute_chunk(
     """Run one worker's task chunk; shared by both engines.
 
     Rebuilds the spec through the plan's factory, executes each task
-    descriptor under the requested schedule/backend, runs the
-    factory's ``finish`` hook, and returns the chunk's busy seconds
-    plus its private sum-column accumulators.  Any failure is
-    re-raised as a picklable :class:`~repro.errors.ParallelWorkerError`
-    carrying the original traceback.
+    descriptor under the requested schedule on the parent's concrete
+    backend, runs the factory's ``finish`` hook, and returns the
+    chunk's busy seconds plus its private sum-column accumulators.
+    Any failure is re-raised as a picklable
+    :class:`~repro.errors.ParallelWorkerError` carrying the original
+    traceback.
     """
     try:
         factory = _resolve_factory(payload["factory"])
@@ -319,6 +319,10 @@ def _execute_chunk(
         built = factory(arrays, payload["params"], results)
         spec, finish = built if isinstance(built, tuple) else (built, None)
         schedule = get_schedule(payload["schedule"])
+        backend = payload["task_backend"]
+        # task_spec drops a single-node view's SoA kernel, so a view
+        # cannot run compiled; the SoA executor runs its scalar work.
+        view_backend = "soa" if backend == "compiled" else backend
         preorder = list(spec.outer_root.iter_preorder())
         ran: list[tuple[Any, bool]] = []
         start = time.perf_counter()
@@ -328,7 +332,7 @@ def _execute_chunk(
             task = Task(outer_root=outer, spec=spec)
             schedule.run(
                 task_spec(task),
-                backend=payload["task_backend"],
+                backend=view_backend if is_view else backend,
                 order=payload["order"],
             )
             ran.append((node, is_view))
@@ -366,158 +370,6 @@ def _execute_chunk_process(payload: dict) -> dict:
         # way, and only the parent's unlink removes the /dev/shm name.
         close_shared_segments(input_segments, unlink=False)
         close_shared_segments(result_segments, unlink=False)
-
-
-def _execute_chunk_pooled(payload: dict) -> dict:
-    """Persistent-pool worker entry: cached attach for resident inputs.
-
-    Input arrays belong to a long-lived :class:`SharedPublication` and
-    are attached once per worker via the soa-level attachment cache;
-    result columns are per-run and attach/close normally.  Workers
-    still never unlink — only the pool owner's ``close()`` removes the
-    ``/dev/shm`` names.
-    """
-    arrays = attach_shared_arrays_cached(payload["input_handles"])
-    shared_results, result_segments = attach_shared_arrays(
-        payload["result_handles"]
-    )
-    try:
-        return _execute_chunk(arrays, shared_results, payload)
-    finally:
-        close_shared_segments(result_segments, unlink=False)
-
-
-class PersistentWorkerPool:
-    """Publish-once input arrays plus a long-lived process pool.
-
-    The one-shot process engine pays three fixed costs on every call:
-    exporting the input arrays to shared memory, spawning a fresh
-    ``ProcessPoolExecutor``, and tearing both down.  A resident service
-    executes thousands of batches against the *same* finalized arrays,
-    so this pool hoists all three: the arrays are published once into a
-    :class:`~repro.spaces.soa.SharedPublication`, workers are spawned
-    once and attach zero-copy through the per-worker attachment cache,
-    and only per-run result columns cross the boundary per call.
-
-    A crashed worker breaks the executor, not the pool: ``reset()``
-    discards the broken executor while the publication survives
-    (workers never unlink), and the next submission spawns a fresh one.
-    ``close()`` is idempotent and unlinks the publication; an abandoned
-    pool is cleaned up by the publication's own finalizer.
-    """
-
-    def __init__(
-        self,
-        arrays: dict[str, np.ndarray],
-        max_workers: Optional[int] = None,
-    ) -> None:
-        self._source = dict(arrays)
-        self.publication = SharedPublication.publish(self._source)
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def input_handles(self) -> list[SharedArrayHandle]:
-        """Handles of the resident publication, for task payloads."""
-        return self.publication.handles
-
-    def matches(self, arrays: dict[str, np.ndarray]) -> bool:
-        """True iff ``arrays`` are the exact objects published here."""
-        if set(arrays) != set(self._source):
-            return False
-        return all(arrays[name] is self._source[name] for name in arrays)
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self.publication.closed:
-            raise ScheduleError("persistent worker pool is closed")
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def submit_chunk(self, payload: dict):
-        """Submit one chunk payload against the resident publication."""
-        payload["input_handles"] = self.publication.handles
-        return self._ensure_executor().submit(_execute_chunk_pooled, payload)
-
-    def reset(self) -> None:
-        """Discard the (possibly broken) executor; keep the arrays."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def close(self) -> None:
-        """Shut the executor down and unlink the publication."""
-        self.reset()
-        self.publication.close()
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _run_pooled_engine(
-    pool: PersistentWorkerPool,
-    plan: ParallelPlan,
-    chunk_descriptors: list[list[tuple[int, bool]]],
-    schedule_name: str,
-    order: str,
-    task_backend: str,
-    sum_columns: tuple[ResultColumn, ...],
-    shared_columns: tuple[ResultColumn, ...],
-    num_workers: int,
-) -> tuple[list[Optional[dict]], dict[str, np.ndarray]]:
-    """Fan out on a persistent pool; only result columns are per-run."""
-    if not pool.matches(plan.arrays):
-        raise ScheduleError(
-            "persistent worker pool was published from different arrays "
-            "than this spec's parallel plan; build the pool from "
-            "plan.arrays (or reuse the same benchmark instance)"
-        )
-    from concurrent.futures.process import BrokenProcessPool
-
-    segments: list = []
-    try:
-        result_handles, result_segments = export_shared_arrays(
-            {column.name: column.allocate() for column in shared_columns}
-        )
-        segments.extend(result_segments)
-        parent_views = {
-            handle.name: np.ndarray(
-                handle.shape, dtype=np.dtype(handle.dtype), buffer=segment.buf
-            )
-            for handle, segment in zip(result_handles, result_segments)
-        }
-        outs: list[Optional[dict]] = [None] * len(chunk_descriptors)
-        futures = {}
-        for index, descriptors in enumerate(chunk_descriptors):
-            if not descriptors:
-                continue
-            payload = _chunk_payload(
-                plan, descriptors, schedule_name, order, task_backend,
-                sum_columns,
-            )
-            payload["result_handles"] = result_handles
-            futures[index] = pool.submit_chunk(payload)
-        try:
-            for index, future in futures.items():
-                outs[index] = future.result()
-        except BrokenProcessPool as exc:
-            pool.reset()
-            raise ParallelWorkerError(
-                "persistent pool worker died mid-chunk; the executor was "
-                "reset (resident arrays survive) — resubmit the batch",
-                str(exc),
-            ) from None
-        shared_out = {
-            name: np.array(view, copy=True)
-            for name, view in parent_views.items()
-        }
-        del parent_views
-        return outs, shared_out
-    finally:
-        close_shared_segments(segments, unlink=True)
 
 
 def _chunk_payload(
@@ -633,21 +485,23 @@ def run_parallel(
     order: str = "preorder",
     task_backend: str = "auto",
     allow_unproven: bool = False,
-    pool: Optional[PersistentWorkerPool] = None,
 ) -> ParallelExecReport:
     """Execute a spec on real workers via its parallel plan.
-
-    Passing ``pool`` (a :class:`PersistentWorkerPool` published from
-    the plan's arrays) runs the process engine against resident
-    workers: no per-call export, no per-call executor spawn.  The pool
-    outlives the call; the caller owns its ``close()``.
 
     ``spawn_depth=None`` (the default) engages the autotuner:
     :func:`~repro.core.parallel.auto_spawn_depth` grows the depth
     until there are ~4 tasks per worker, capped by LPT cost balance.
     ``schedule`` is applied *inside* each task; ``order`` is the SoA
-    linearization tasks use; ``task_backend`` picks the executor
-    family per task (``"auto"`` probes each task's restricted spec).
+    linearization tasks use; ``task_backend`` is the executor family
+    every task runs on.  ``"auto"`` is decided once, here in the
+    parent: the pick :func:`~repro.core.backend_select.choose_backend`
+    makes for the same spec without its parallel plan (so the pool
+    itself is excluded), whose ``order`` the tasks adopt when ``order``
+    was left at ``preorder``.  Workers receive the concrete name and
+    never run the selector: each worker factory rebuilds the parent's
+    kernel family, so the parent's conformance verdict covers the
+    tasks.  A ``compiled`` pick runs single-node-view tasks on ``soa``,
+    since a view carries no SoA kernel.
 
     Refuses to parallelize unless the plan's witness proves
     outer-independence (:func:`check_outer_independence`);
@@ -660,11 +514,6 @@ def run_parallel(
         raise ScheduleError(
             f"unknown parallel engine {engine!r}; known: {list(REAL_ENGINES)} "
             "(the simulated engine lives in run_task_parallel)"
-        )
-    if pool is not None and engine != "process":
-        raise ScheduleError(
-            "a persistent worker pool implies the process engine; "
-            f"got engine={engine!r}"
         )
     if task_backend not in TASK_BACKENDS:
         raise ScheduleError(
@@ -686,6 +535,15 @@ def run_parallel(
                 "allow_unproven=True only after discharging "
                 "outer-independence yourself"
             )
+    if task_backend == "auto":
+        from repro.core import backend_select
+
+        pick = backend_select.choose_backend(
+            replace(spec, parallel_plan=None), schedule.name
+        )
+        task_backend = pick.backend
+        if order == "preorder":
+            order = pick.order
     num_workers = max_workers if max_workers is not None else os.cpu_count() or 1
     if num_workers < 1:
         raise ScheduleError(f"max_workers must be >= 1, got {num_workers}")
@@ -712,13 +570,9 @@ def run_parallel(
     ]
     sum_columns = tuple(c for c in plan.results if c.mode == "sum")
     shared_columns = tuple(c for c in plan.results if c.mode == "shared")
-    if pool is not None:
-        def engine_runner(*runner_args):
-            return _run_pooled_engine(pool, *runner_args)
-    elif engine == "process":
-        engine_runner = _run_process_engine
-    else:
-        engine_runner = _run_thread_engine
+    engine_runner = (
+        _run_process_engine if engine == "process" else _run_thread_engine
+    )
     wall_start = time.perf_counter()
     outs, shared_out = engine_runner(
         plan,

@@ -54,9 +54,10 @@ class IndexNode:
         # (even weak-keyed) would pin dead trees through its own
         # values, while here views + tree form one collectable cycle.
         "_soa_views",
-        # Weak referencability lets long-lived caches (e.g. the
-        # backend selector's probe-once memo) key on roots without
-        # keeping dead trees alive.
+        # Weak referencability lets repro.memo.TreeMemo pin cached
+        # results to live roots (backend choices, lint reports, the
+        # compiled backend's twist sequences) without keeping dead
+        # trees alive.
         "__weakref__",
     )
 

@@ -386,9 +386,7 @@ def clear_cache() -> None:
     clear_ir_cache()
 
 
-def lint_spec(
-    spec: NestedRecursionSpec, use_cache: bool = True
-) -> SpecConformanceReport:
+def lint_spec(spec: NestedRecursionSpec) -> SpecConformanceReport:
     """Statically check a spec's vectorized kernels against ``work``.
 
     Returns a :class:`SpecConformanceReport` with per-backend verdicts
@@ -397,12 +395,11 @@ def lint_spec(
     kernels' code objects, so re-making a spec from the same factory
     (fresh closures, same code) reuses the verdict.
     """
-    key = spec_cache_key(spec) if use_cache else None
-    if key is not None and key in _REPORT_CACHE:
-        cached = _REPORT_CACHE[key]
-        if cached.spec_name == (spec.name or "<spec>"):
-            return cached
-    irs = spec_kernel_irs(spec, use_cache=use_cache)
+    key = spec_cache_key(spec)
+    cached = _REPORT_CACHE.get(key)
+    if cached is not None and cached.spec_name == (spec.name or "<spec>"):
+        return cached
+    irs = spec_kernel_irs(spec)
     labels: dict = {}
     for ir in irs.values():
         for root, label in ir.conformance.labels.items():
@@ -525,6 +522,5 @@ def lint_spec(
         ],
         labels=labels,
     )
-    if key is not None:
-        _REPORT_CACHE[key] = report
+    _REPORT_CACHE[key] = report
     return report

@@ -54,13 +54,13 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.spec import NestedRecursionSpec
+from repro.memo import TreeMemo
 from repro.memory.cachemodel import CacheModel
 from repro.transform.lint.diagnostics import Diagnostic, DiagnosticSink
 from repro.transform.lint.kernel_ir import (
     AFFINE,
     GATHER,
     KernelIR,
-    TreeMemo,
     clear_ir_cache,
     spec_cache_key,
     spec_kernel_irs,
@@ -283,7 +283,7 @@ def _resolve_live_value(fn: Any, label: str) -> Any:
     return value
 
 
-#: (inner root id, read fields) -> (payload bytes, counted fields).  The
+#: (inner root, read fields) -> (payload bytes, counted fields).  The
 #: scan depends on the inner tree alone, so every spec over one inner
 #: tree shares it — the parallel runtime's task specs differ only in
 #: their outer root.
@@ -291,18 +291,16 @@ _PAYLOAD_CACHE = TreeMemo(cap=64)
 
 
 def _inner_payload_bytes(
-    spec: NestedRecursionSpec, attrs: set[str], use_cache: bool = True
+    spec: NestedRecursionSpec, attrs: set[str]
 ) -> tuple[int, list[str]]:
     """:func:`_scan_payload_bytes`, memoized on the live inner root."""
     roots = (spec.inner_root,)
-    key = (id(spec.inner_root), frozenset(attrs))
-    cached = _PAYLOAD_CACHE.get(key, roots) if use_cache else None
-    if cached is not None:
-        return cached
-    result = _scan_payload_bytes(spec.inner_root, attrs)
-    if use_cache:
-        _PAYLOAD_CACHE.put(key, roots, result)
-    return result
+    key = frozenset(attrs)
+    cached = _PAYLOAD_CACHE.get(key, roots)
+    if cached is None:
+        cached = _scan_payload_bytes(spec.inner_root, attrs)
+        _PAYLOAD_CACHE.put(key, roots, cached)
+    return cached
 
 
 def _scan_payload_bytes(inner_root: Any, attrs: set[str]) -> tuple[int, list[str]]:
@@ -341,7 +339,6 @@ def _infer_footprint(
     spec: NestedRecursionSpec,
     irs: dict[str, tuple[Any, KernelIR]],
     sink: DiagnosticSink,
-    use_cache: bool = True,
 ) -> tuple[Optional[int], str]:
     """The inner working set in bytes, or ``None`` with a TW300 trail."""
     if not irs:
@@ -399,7 +396,7 @@ def _infer_footprint(
             "underestimated by an unknown amount",
         )
         return None, f"unsized inner-axis arrays: {names}"
-    payload_bytes, counted = _inner_payload_bytes(spec, attrs, use_cache)
+    payload_bytes, counted = _inner_payload_bytes(spec, attrs)
     struct_bytes = STRUCT_BYTES * inner_size
     total = struct_bytes + payload_bytes + sum(env_arrays.values())
     parts = [f"{inner_size} inner nodes x {STRUCT_BYTES} B struct"]
@@ -610,19 +607,9 @@ def clear_cache() -> None:
     clear_ir_cache()
 
 
-def _cache_key(spec: NestedRecursionSpec, model: CacheModel) -> tuple:
-    return (
-        spec_cache_key(spec),
-        id(spec.outer_root),
-        id(spec.inner_root),
-        model,
-    )
-
-
 def lint_locality(
     spec: NestedRecursionSpec,
     cache_model: Optional[CacheModel] = None,
-    use_cache: bool = True,
 ) -> LocalityReport:
     """Run the TW30x locality pass over one spec.
 
@@ -635,19 +622,19 @@ def lint_locality(
     new measurement even under identical kernel code.
     """
     model = cache_model if cache_model is not None else CacheModel.paper_default()
-    key = _cache_key(spec, model) if use_cache else None
+    key = (spec_cache_key(spec), model)
     roots = (spec.outer_root, spec.inner_root)
-    cached = _REPORT_CACHE.get(key, roots) if key is not None else None
+    cached = _REPORT_CACHE.get(key, roots)
     if cached is not None:
         return cached
-    shared = spec_kernel_irs(spec, use_cache=use_cache)
+    shared = spec_kernel_irs(spec)
     irs: dict[str, tuple[Any, KernelIR]] = {
         role: (getattr(spec, role), shared[role])
         for role in _FOOTPRINT_ROLES
         if role in shared
     }
     sink = DiagnosticSink()
-    footprint, footprint_detail = _infer_footprint(spec, irs, sink, use_cache)
+    footprint, footprint_detail = _infer_footprint(spec, irs, sink)
     reuse, reuse_detail = _infer_reuse(spec, sink)
     verdicts, reasons = _judge(footprint, reuse, model, sink)
     sink.emit(
@@ -667,6 +654,5 @@ def lint_locality(
         reasons=reasons,
         diagnostics=list(sink.diagnostics),
     )
-    if key is not None:
-        _REPORT_CACHE.put(key, roots, report)
+    _REPORT_CACHE.put(key, roots, report)
     return report

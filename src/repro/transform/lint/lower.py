@@ -40,6 +40,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.spec import NestedRecursionSpec
+from repro.memo import TreeMemo
 from repro.transform.lint.diagnostics import Diagnostic, DiagnosticSink
 from repro.transform.lint.kernel_ir import (
     AFFINE,
@@ -49,7 +50,6 @@ from repro.transform.lint.kernel_ir import (
     SLICE,
     UNKNOWN,
     KernelIR,
-    TreeMemo,
     clear_ir_cache,
     spec_cache_key,
     spec_kernel_irs,
@@ -578,11 +578,7 @@ def clear_cache() -> None:
     clear_ir_cache()
 
 
-def _cache_key(spec: NestedRecursionSpec) -> tuple:
-    return (spec_cache_key(spec), id(spec.outer_root), id(spec.inner_root))
-
-
-def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport:
+def lint_lower(spec: NestedRecursionSpec) -> LowerReport:
     """Run both TW2xx passes over one spec and fold the verdicts.
 
     Reports are cached on the kernels' code objects *and* the identity
@@ -590,13 +586,13 @@ def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport
     precondition (injective payload column), so a new tree means a new
     proof even under identical kernel code.
     """
-    key = _cache_key(spec) if use_cache else None
+    key = spec_cache_key(spec)
     roots = (spec.outer_root, spec.inner_root)
-    cached = _REPORT_CACHE.get(key, roots) if key is not None else None
+    cached = _REPORT_CACHE.get(key, roots)
     if cached is not None:
         return cached
     roles = set(_INDEPENDENCE_ROLES) | set(_LOWER_ROLES)
-    shared = spec_kernel_irs(spec, use_cache=use_cache)
+    shared = spec_kernel_irs(spec)
     irs = {role: shared[role] for role in sorted(roles) if role in shared}
     sink = DiagnosticSink()
     preconditions: list[str] = []
@@ -614,14 +610,11 @@ def lint_lower(spec: NestedRecursionSpec, use_cache: bool = True) -> LowerReport
         preconditions=preconditions,
         kernels={role: ir.to_json() for role, ir in irs.items()},
     )
-    if key is not None:
-        _REPORT_CACHE.put(key, roots, report)
+    _REPORT_CACHE.put(key, roots, report)
     return report
 
 
-def static_independence(
-    spec: NestedRecursionSpec, use_cache: bool = True
-) -> tuple[str, str]:
+def static_independence(spec: NestedRecursionSpec) -> tuple[str, str]:
     """The independence verdict alone, for the parallel runtime.
 
     Returns ``(verdict_value, reason)`` where the verdict value is one
@@ -629,5 +622,5 @@ def static_independence(
     :func:`repro.core.parallel_exec.check_outer_independence` treats
     only ``"independent"`` as a probe-skipping proof.
     """
-    report = lint_lower(spec, use_cache=use_cache)
+    report = lint_lower(spec)
     return str(report.independence), report.independence_reason

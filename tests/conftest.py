@@ -47,3 +47,30 @@ def refuse_compiled(monkeypatch):
         "_compiled_eligible",
         lambda spec: (False, "not lowerable (test)", ()),
     )
+
+
+@pytest.fixture
+def force_conformance(monkeypatch):
+    """Make the TW1xx analyzer report chosen per-backend verdicts.
+
+    ``force_conformance(batched="safe", soa="unsafe")`` keeps the real
+    report's diagnostics and overrides only its ``backends``
+    (``recursive`` stays safe), so the selector's refusal path runs on
+    specs whose kernels the analyzer genuinely proves.
+    """
+    import dataclasses
+
+    from repro.transform.lint import backend as lint_backend
+
+    genuine = lint_backend.lint_spec
+
+    def force(**verdicts):
+        monkeypatch.setattr(
+            lint_backend,
+            "lint_spec",
+            lambda spec: dataclasses.replace(
+                genuine(spec), backends={"recursive": "safe", **verdicts}
+            ),
+        )
+
+    return force

@@ -52,12 +52,8 @@ def regular_spec(num_nodes: int) -> NestedRecursionSpec:
 )
 def test_growing_the_inner_tree_never_improves_interchange(smaller, growth):
     locality.clear_cache()
-    small = lint_locality(
-        regular_spec(smaller), cache_model=MODEL, use_cache=False
-    )
-    large = lint_locality(
-        regular_spec(smaller + growth), cache_model=MODEL, use_cache=False
-    )
+    small = lint_locality(regular_spec(smaller), cache_model=MODEL)
+    large = lint_locality(regular_spec(smaller + growth), cache_model=MODEL)
     assert small.footprint_bytes < large.footprint_bytes
     assert (
         SEVERITY[large.verdicts["interchange"]]
@@ -73,7 +69,5 @@ def test_growing_the_inner_tree_never_improves_interchange(smaller, growth):
 @given(num_nodes=st.integers(min_value=1, max_value=300))
 def test_twist_is_never_regressive_on_regular_specs(num_nodes):
     locality.clear_cache()
-    report = lint_locality(
-        regular_spec(num_nodes), cache_model=MODEL, use_cache=False
-    )
+    report = lint_locality(regular_spec(num_nodes), cache_model=MODEL)
     assert report.verdicts["twist"] is not LocalityVerdict.REGRESSIVE

@@ -9,7 +9,7 @@ Three once-lossy seams, each pinned here:
    explicitly pinned order must still win).
 2. ``_refuse_unproven`` used to rebuild the downgraded
    :class:`BackendChoice` without ``order``, silently resetting it.
-3. ``conformance_verdicts`` used to swallow analyzer exceptions —
+3. The conformance lookup used to swallow analyzer exceptions —
    selection silently proceeded with zero conformance evidence.  The
    failure now surfaces as a one-shot ``RuntimeWarning`` plus a
    ``features["conformance_error"]`` entry.
@@ -109,46 +109,26 @@ class TestAutoOrderPlumbing:
 
 
 class TestRefuseUnprovenCarriesOrder:
-    def test_downgrade_to_the_proven_alternate_keeps_order(self, monkeypatch):
-        monkeypatch.setattr(
-            backend_select,
-            "conformance_verdicts",
-            lambda spec: {
-                "recursive": "safe",
-                "batched": "safe",
-                "soa": "unsafe",
-            },
-        )
+    def test_downgrade_to_the_proven_alternate_keeps_order(
+        self, force_conformance
+    ):
+        force_conformance(batched="safe", soa="unsafe")
         choice = choose_backend(make_tj(200).make_spec())
         assert choice.backend == "batched"
         assert choice.order == "veb"  # evidence about the spec, kept
 
-    def test_downgrade_to_recursive_keeps_order(self, monkeypatch):
-        monkeypatch.setattr(
-            backend_select,
-            "conformance_verdicts",
-            lambda spec: {
-                "recursive": "safe",
-                "batched": "unsafe",
-                "soa": "unsafe",
-            },
-        )
+    def test_downgrade_to_recursive_keeps_order(self, force_conformance):
+        force_conformance(batched="unsafe", soa="unsafe")
         choice = choose_backend(make_tj(200).make_spec())
         assert choice.backend == "recursive"
         assert choice.order == "veb"
 
-    def test_compiled_stands_or_falls_with_the_soa_verdict(self, monkeypatch):
+    def test_compiled_stands_or_falls_with_the_soa_verdict(
+        self, force_conformance
+    ):
         """compiled executes the same work_batch_soa kernel, so an
         unsafe soa verdict must also take compiled off the table."""
-        monkeypatch.setattr(
-            backend_select,
-            "conformance_verdicts",
-            lambda spec: {
-                "recursive": "safe",
-                "batched": "safe",
-                "soa": "unsafe",
-            },
-        )
+        force_conformance(batched="safe", soa="unsafe")
         choice = choose_backend(make_tj(200).make_spec())
         assert choice.backend not in ("soa", "compiled")
 
@@ -180,22 +160,14 @@ class TestEvidencePlumbing:
         assert len(choice.evidence) == len(set(choice.evidence))
 
     def test_downgrade_carries_the_full_conformance_code_list(
-        self, monkeypatch
+        self, force_conformance
     ):
         """A forced downgrade must cite every code the conformance
         analyzer raised on the spec — not just the refused backend."""
         from repro.bench.workloads import wallclock_cases
         from repro.transform.lint import lint_spec
 
-        monkeypatch.setattr(
-            backend_select,
-            "conformance_verdicts",
-            lambda spec: {
-                "recursive": "safe",
-                "batched": "unsafe",
-                "soa": "unsafe",
-            },
-        )
+        force_conformance(batched="unsafe", soa="unsafe")
         clear_choice_cache()
         case = next(c for c in wallclock_cases(0.25) if c.name == "KDE")
         spec = case.make_spec()
@@ -208,17 +180,9 @@ class TestEvidencePlumbing:
         assert any(code.startswith("TW3") for code in choice.evidence)
 
     def test_downgrade_to_the_alternate_keeps_evidence_too(
-        self, monkeypatch
+        self, force_conformance
     ):
-        monkeypatch.setattr(
-            backend_select,
-            "conformance_verdicts",
-            lambda spec: {
-                "recursive": "safe",
-                "batched": "safe",
-                "soa": "unsafe",
-            },
-        )
+        force_conformance(batched="safe", soa="unsafe")
         clear_choice_cache()
         choice = choose_backend(make_tj(200).make_spec())
         assert choice.backend == "batched"

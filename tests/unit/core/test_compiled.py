@@ -20,6 +20,7 @@ from repro.core.compiled import (
     artifact_info,
     clear_caches,
     compiled_artifact,
+    position_cache_info,
     run_original_compiled,
     run_twisted_compiled,
 )
@@ -293,87 +294,73 @@ class TestNumbaTier:
 
 
 class TestPositionCache:
-    """Only twist sequences are cached; eviction and byte caps apply to
-    them (original/interchange positions are streamed, never stored)."""
+    """Only twist sequences are cached, pinned to their live trees and
+    bounded by the shared memo's entry and byte caps (original and
+    interchange positions are streamed, never stored).  The caps
+    themselves are :class:`repro.memo.TreeMemo`'s, tested there."""
+
+    @staticmethod
+    def _narrow(spec, order="preorder"):
+        """The cached narrow twist arrays for ``spec``'s trees (a hit)."""
+        from repro.core import compiled as compiled_mod
+        from repro.spaces.soa import soa_view
+
+        entries = position_cache_info()["entries"]
+        rows, cols = compiled_mod._cached_twist(
+            spec,
+            soa_view(spec.outer_root, order),
+            soa_view(spec.inner_root, order),
+            order,
+            None,
+        )
+        assert position_cache_info()["entries"] == entries
+        return rows, cols
 
     def test_cache_is_bounded(self):
-        from repro.core.compiled import _POSITIONS, _POSITIONS_CAP
-
-        for k in range(_POSITIONS_CAP + 4):
-            tj = TreeJoin(3 + k, 3)
+        cap = position_cache_info()["max_entries"]
+        live = [TreeJoin(3 + k, 3) for k in range(cap + 4)]
+        for tj in live:
             run_twisted_compiled(tj.make_spec())
-        assert len(_POSITIONS) <= _POSITIONS_CAP
+        assert position_cache_info()["entries"] == cap
 
     def test_repeat_runs_hit_the_cache(self):
-        from repro.core.compiled import _POSITIONS
-
         tj = TreeJoin(9, 9)
         run_twisted_compiled(tj.make_spec())
-        size = len(_POSITIONS)
+        size = position_cache_info()["entries"]
         run_twisted_compiled(tj.make_spec())  # same trees, same schedule
-        assert len(_POSITIONS) == size
+        assert position_cache_info()["entries"] == size
         assert tj.accumulator.total == tj.expected_total()
 
-    def test_byte_cap_evicts_least_recent(self):
-        from repro.core.compiled import (
-            position_cache_info,
-            set_position_cache_limits,
-        )
+    def test_dead_trees_leave_no_entry(self):
+        import gc
 
-        # One TJ(63,63) twist sequence is 2 x 3969 uint16 positions,
-        # ~15.5 KB; a 24 KB cap fits a single entry but never two, so
-        # the second insertion must evict the first even though the
-        # entry cap is far away.
-        previous = set_position_cache_limits(max_bytes=24 * 1024)
-        try:
-            run_twisted_compiled(TreeJoin(63, 63).make_spec())
-            assert position_cache_info()["entries"] == 1
-            run_twisted_compiled(TreeJoin(63, 63).make_spec())
-            info = position_cache_info()
-            assert info["entries"] == 1
-            assert 0 < info["bytes"] <= info["max_bytes"]
-        finally:
-            set_position_cache_limits(
-                max_entries=previous[0], max_bytes=previous[1]
-            )
+        tj = TreeJoin(15, 15)
+        run_twisted_compiled(tj.make_spec())
+        assert position_cache_info()["entries"] == 1
+        del tj
+        gc.collect()
+        info = position_cache_info()
+        assert (info["entries"], info["bytes"]) == (0, 0)
 
     def test_cache_info_reports_entries_and_bytes(self):
-        from repro.core.compiled import position_cache_info
-
         tj = TreeJoin(15, 15)
         run_twisted_compiled(tj.make_spec())
         info = position_cache_info()
         assert info["entries"] == 1
         assert info["bytes"] > 0
         assert info["max_entries"] >= 1
-
-    def test_limit_setter_validates_and_returns_previous(self):
-        from repro.core.compiled import (
-            position_cache_info,
-            set_position_cache_limits,
-        )
-
-        with pytest.raises(ScheduleError):
-            set_position_cache_limits(max_entries=0)
-        with pytest.raises(ScheduleError):
-            set_position_cache_limits(max_bytes=0)
-        before = position_cache_info()
-        previous = set_position_cache_limits(
-            max_entries=before["max_entries"]
-        )
-        assert previous == (before["max_entries"], before["max_bytes"])
+        assert info["bytes"] <= info["max_bytes"]
 
     def test_only_twist_adds_an_entry_in_narrow_arrays(self):
-        from repro.core.compiled import _POSITIONS, position_cache_info
-
         tj = TreeJoin(23, 17)
         for schedule in ("original", "interchange"):
             BY_NAME[schedule].run(tj.make_spec(), backend="compiled")
             assert position_cache_info()["entries"] == 0
-        run_twisted_compiled(tj.make_spec())
+        spec = tj.make_spec()
+        run_twisted_compiled(spec)
         info = position_cache_info()
         assert info["entries"] == 1
-        (_ref_o, _ref_i, rows, cols), = _POSITIONS.values()
+        rows, cols = self._narrow(spec)
         assert rows.dtype == cols.dtype == np.uint16
         assert len(rows) == len(cols) == 23 * 17
         assert info["bytes"] == rows.nbytes + cols.nbytes
@@ -384,8 +371,9 @@ class TestPositionCache:
         # 23 outer nodes sit past a limit of 20, 17 inner nodes do not.
         monkeypatch.setattr(compiled_mod, "UINT16_MAX_NODES", 20)
         tj = TreeJoin(23, 17)
-        run_twisted_compiled(tj.make_spec())
-        (_ref_o, _ref_i, rows, cols), = compiled_mod._POSITIONS.values()
+        spec = tj.make_spec()
+        run_twisted_compiled(spec)
+        rows, cols = self._narrow(spec)
         assert rows.dtype == np.uint32
         assert cols.dtype == np.uint16
         assert tj.accumulator.total == tj.expected_total()
@@ -484,8 +472,6 @@ class TestBlockStreaming:
         assert peak < 4 * 1024 * 1024
 
     def test_big_trees_cache_only_a_narrow_twist(self):
-        from repro.core.compiled import position_cache_info
-
         tj = TreeJoin(1200, 1200)
         for run in (run_original_compiled, run_twisted_compiled):
             run(tj.make_spec(), order="veb")

@@ -1,24 +1,26 @@
 """Unit tests for the real multi-worker runtime (Section 7.3 on hardware)."""
 
 import os
+import threading
 
+import numpy as np
 import pytest
 
-from repro.core import NestedRecursionSpec
+from repro.core import NestedRecursionSpec, backend_select
 from repro.core.backend_select import (
     PARALLEL_SPACE_POINTS,
     choose_backend,
 )
-from repro.core.parallel import run_task_parallel
+from repro.core.parallel import _SingleNodeView, run_task_parallel
 from repro.core.parallel_exec import (
     ParallelExecReport,
     ParallelPlan,
     check_outer_independence,
     run_parallel,
 )
-from repro.core.schedules import BACKENDS, ORIGINAL, TWIST
+from repro.core.schedules import BACKENDS, ORIGINAL, TWIST, Schedule
 from repro.errors import ParallelWorkerError, ScheduleError
-from repro.kernels import TreeJoin
+from repro.kernels import MatrixMultiply, TreeJoin
 from repro.spaces import paper_inner_tree, paper_outer_tree
 
 
@@ -258,8 +260,158 @@ class TestReport:
             task_counts=[3, 2],
             worker_seconds=[2.0, 1.0],
             wall_seconds=2.5,
+            task_backend="soa",
         )
         assert report.num_tasks == 5
         assert report.makespan == 2.0
         assert report.total_seconds == 3.0
         assert report.parallel_speedup == 1.5
+
+
+def _tj():
+    tj = TreeJoin(63, 63)
+    return tj, lambda: (tj.accumulator.total, tj.accumulator.pairs)
+
+
+def _mm():
+    mm = MatrixMultiply(n=31, m=31, p=4)
+    return mm, lambda: mm.c.copy()
+
+
+class TestViewTasksOnSoa:
+    """A single-node-view task runs one inner traversal on ``soa``.
+
+    The view used to reach its base node's cached whole-subtree SoA
+    views through attribute delegation, so every view task re-ran all
+    of its node's descendants (TJ(600, 600): twice the serial total).
+    TJ's sums expose a re-run; MM's cell writes are idempotent, so its
+    rows check only that views still produce the serial matrix.
+    """
+
+    @pytest.mark.parametrize("engine", ["thread", "process"])
+    @pytest.mark.parametrize("schedule", [ORIGINAL, TWIST], ids=["original", "twist"])
+    @pytest.mark.parametrize("make", [_tj, _mm], ids=["TJ", "MM"])
+    def test_soa_tasks_match_serial_soa(self, make, schedule, engine):
+        case, read = make()
+        schedule.run(case.make_spec(), backend="soa")
+        expected = read()
+        report = run_parallel(
+            case.make_spec(),
+            schedule,
+            engine=engine,
+            max_workers=2,
+            task_backend="soa",
+        )
+        assert report.num_tasks > 1
+        assert np.array_equal(read(), expected)
+
+
+class TestTaskBackendResolution:
+    """``task_backend="auto"`` is decided once, in the parent."""
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        """The thread of every ``choose_backend`` call."""
+        threads = []
+        genuine = backend_select.choose_backend
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return genuine(*args, **kwargs)
+
+        monkeypatch.setattr(backend_select, "choose_backend", spy)
+        return threads
+
+    @pytest.mark.parametrize(
+        "name,pick", [("PC", "batched"), ("NN", "soa")]
+    )
+    def test_thread_engine_selects_only_in_the_calling_thread(
+        self, selections, name, pick
+    ):
+        from repro.bench.workloads import make_nn, make_pc
+
+        case = {"PC": make_pc, "NN": make_nn}[name](512)
+        expected = serial_result(case)
+        report = run_parallel(case.make_spec(), engine="thread", max_workers=2)
+        assert report.task_backend == pick
+        assert report.num_tasks > 1
+        assert selections == [threading.current_thread()]
+        assert repr(case.result()) == expected
+
+    def test_process_workers_never_run_the_selector(self, monkeypatch):
+        from repro.bench.workloads import make_pc
+
+        parent = os.getpid()
+        genuine = backend_select._choose_backend_uncached
+
+        def parent_only(*args, **kwargs):
+            # Fork-inherited: a worker that selects fails its chunk.
+            if os.getpid() != parent:
+                raise RuntimeError("selector ran in a worker")
+            return genuine(*args, **kwargs)
+
+        monkeypatch.setattr(backend_select, "_choose_backend_uncached", parent_only)
+        backend_select.clear_choice_cache()
+        case = make_pc(512)
+        expected = serial_result(case)
+        report = run_parallel(case.make_spec(), engine="process", max_workers=2)
+        assert report.task_backend == "batched"
+        assert repr(case.result()) == expected
+
+    def test_compiled_pick_runs_views_on_soa_in_the_picked_order(
+        self, monkeypatch
+    ):
+        ran = []
+        genuine = Schedule.run
+
+        def recording(self, spec, instrument=None, backend="recursive", **kwargs):
+            view = isinstance(spec.outer_root, _SingleNodeView)
+            ran.append((view, backend, kwargs.get("order")))
+            return genuine(self, spec, instrument, backend, **kwargs)
+
+        monkeypatch.setattr(Schedule, "run", recording)
+        tj = TreeJoin(127, 127)  # past SMALL_SPACE_POINTS: picks compiled
+        expected = tj.expected_total()
+        report = run_parallel(tj.make_spec(), TWIST, engine="thread", max_workers=2)
+        assert report.task_backend == "compiled"
+        assert tj.result == expected
+        assert {(False, "compiled", "veb"), (True, "soa", "veb")} == set(ran)
+
+    def test_a_pinned_order_beats_the_pick(self, monkeypatch):
+        orders = set()
+        genuine = Schedule.run
+
+        def recording(self, spec, instrument=None, backend="recursive", **kwargs):
+            orders.add(kwargs.get("order"))
+            return genuine(self, spec, instrument, backend, **kwargs)
+
+        monkeypatch.setattr(Schedule, "run", recording)
+        tj = TreeJoin(127, 127)
+        run_parallel(tj.make_spec(), engine="thread", max_workers=2, order="bfs")
+        assert orders == {"bfs"}
+        assert tj.result == tj.expected_total()
+
+
+class TestWorkerFactories:
+    def test_every_factory_rebuilds_the_parent_kernel_family(self):
+        """Workers reuse the parent's conformance verdict, which is keyed
+        by kernel family: each built-in worker factory must build a spec
+        with the parent's :func:`spec_cache_key`."""
+        from repro.bench.workloads import all_cases
+        from repro.core.parallel_exec import _resolve_factory
+        from repro.transform.lint.kernel_ir import spec_cache_key
+
+        covered = set()
+        for case in all_cases(0.02):
+            spec = case.make_spec()
+            plan = spec.parallel_plan
+            results = {column.name: column.allocate() for column in plan.results}
+            built = _resolve_factory(plan.factory)(plan.arrays, plan.params, results)
+            worker_spec = built[0] if isinstance(built, tuple) else built
+            assert spec_cache_key(worker_spec) == spec_cache_key(spec), case.name
+            covered.add(plan.factory)
+        assert covered == {
+            "repro.kernels.treejoin:parallel_worker",
+            "repro.kernels.matmul:parallel_worker",
+            "repro.dualtree.parallel:parallel_worker",
+        }

@@ -4,8 +4,8 @@ The serving layer keeps one :class:`SharedPublication` alive for the
 process lifetime and lets pool workers attach through a per-process
 cache.  These tests pin the lifecycle invariants that make that safe:
 repeated publish/attach/close cycles, finalizer cleanup when an owner
-forgets to close, idempotent closes, and worker crashes — none may
-leave a ``/dev/shm`` entry behind.
+forgets to close, and idempotent closes — none may leave a
+``/dev/shm`` entry behind.
 """
 
 import gc
@@ -14,10 +14,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.parallel_exec import PersistentWorkerPool, run_parallel
-from repro.core.schedules import ORIGINAL
-from repro.errors import ParallelWorkerError, ScheduleError
-from repro.kernels import TreeJoin
 from repro.spaces.soa import (
     SharedPublication,
     attach_shared_arrays_cached,
@@ -106,97 +102,3 @@ class TestAttachCache:
         clear_attach_cache()
         publication.close()
         assert shm_entries() == before
-
-
-class TestPoolLifecycle:
-    def test_repeated_pooled_batches_reuse_one_publication(self):
-        before = shm_entries()
-        tj = TreeJoin(127, 127)
-        expected = tj.expected_total()
-        spec = tj.make_spec()
-        with PersistentWorkerPool(
-            spec.parallel_plan.arrays, max_workers=1
-        ) as pool:
-            for _ in range(2):
-                # make_spec resets the accumulator; its plan arrays are
-                # the same cached SoA columns, so the pool still matches.
-                run_parallel(
-                    tj.make_spec(),
-                    schedule=ORIGINAL,
-                    engine="process",
-                    max_workers=1,
-                    pool=pool,
-                )
-                assert tj.result == expected
-        assert shm_entries() == before
-
-    def test_pool_requires_the_process_engine(self):
-        spec = TreeJoin(63, 63).make_spec()
-        pool = PersistentWorkerPool(spec.parallel_plan.arrays, max_workers=1)
-        try:
-            with pytest.raises(ScheduleError, match="process"):
-                run_parallel(spec, engine="thread", max_workers=1, pool=pool)
-        finally:
-            pool.close()
-
-    def test_mismatched_arrays_refused(self):
-        spec = TreeJoin(63, 63).make_spec()
-        other = TreeJoin(63, 63).make_spec()
-        pool = PersistentWorkerPool(other.parallel_plan.arrays, max_workers=1)
-        try:
-            with pytest.raises(ScheduleError, match="different arrays"):
-                run_parallel(
-                    spec, engine="process", max_workers=1, pool=pool
-                )
-        finally:
-            pool.close()
-
-    def test_worker_crash_resets_pool_and_leaks_nothing(self):
-        # A real worker death (not an exception): the pool must surface
-        # ParallelWorkerError, reset its executor, keep the resident
-        # publication usable, and unlink everything on close.
-        before = shm_entries()
-        tj = TreeJoin(127, 127)
-        expected = tj.expected_total()
-        spec = tj.make_spec()
-        pool = PersistentWorkerPool(spec.parallel_plan.arrays, max_workers=1)
-        try:
-            run_parallel(
-                tj.make_spec(),
-                schedule=ORIGINAL,
-                engine="process",
-                max_workers=1,
-                pool=pool,
-            )
-            # Kill the resident worker processes out from under it.
-            executor = pool._executor
-            assert executor is not None
-            for process in list(executor._processes.values()):
-                process.kill()
-            with pytest.raises(ParallelWorkerError, match="resubmit"):
-                run_parallel(
-                    tj.make_spec(),
-                    schedule=ORIGINAL,
-                    engine="process",
-                    max_workers=1,
-                    pool=pool,
-                )
-            # The reset left the publication intact: resubmission works.
-            run_parallel(
-                tj.make_spec(),
-                schedule=ORIGINAL,
-                engine="process",
-                max_workers=1,
-                pool=pool,
-            )
-            assert tj.result == expected
-        finally:
-            pool.close()
-        assert shm_entries() == before
-
-    def test_closed_pool_refuses_submissions(self):
-        spec = TreeJoin(63, 63).make_spec()
-        pool = PersistentWorkerPool(spec.parallel_plan.arrays, max_workers=1)
-        pool.close()
-        with pytest.raises(ScheduleError, match="closed"):
-            pool.submit_chunk({})

@@ -79,14 +79,17 @@ def _codes(diagnostics) -> list:
 
 
 def analyzer_record(spec) -> dict:
-    """Everything the three analyzer families conclude about ``spec``."""
-    from repro.transform.lint.backend import lint_spec
-    from repro.transform.lint.locality import lint_locality
-    from repro.transform.lint.lower import lint_lower
+    """Everything the three analyzer families conclude about ``spec``,
+    analyzed afresh (every pass's cache cleared first)."""
+    from repro.transform.lint import backend as conformance_pass
+    from repro.transform.lint import locality as locality_pass
+    from repro.transform.lint import lower as lower_pass
 
-    conformance = lint_spec(spec, use_cache=False)
-    lower = lint_lower(spec, use_cache=False)
-    locality = lint_locality(spec, use_cache=False)
+    for analyzer in (conformance_pass, lower_pass, locality_pass):
+        analyzer.clear_cache()
+    conformance = conformance_pass.lint_spec(spec)
+    lower = lower_pass.lint_lower(spec)
+    locality = locality_pass.lint_locality(spec)
     return {
         "conformance": {
             "verdict": str(conformance.verdict),

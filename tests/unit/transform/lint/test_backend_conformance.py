@@ -210,7 +210,7 @@ class TestMutationHarness:
         "name,factory,code,verdict", MUTANTS, ids=[m[0] for m in MUTANTS]
     )
     def test_seeded_mutation_is_caught(self, name, factory, code, verdict):
-        report = lint_spec(make_mutant(factory), use_cache=False)
+        report = lint_spec(make_mutant(factory))
         assert code in report.codes(), name
         assert str(report.verdict) == verdict, name
 
@@ -233,7 +233,7 @@ class TestMutationHarness:
             truncate_inner2_batch=guard_block,
             truncation_observes_work=True,
         )
-        report = lint_spec(spec, use_cache=False)
+        report = lint_spec(spec)
         assert "TW106" in report.codes()
         assert str(report.verdict) == "unsafe"
 
@@ -248,7 +248,7 @@ class TestMutationHarness:
 
             return work_batch
 
-        report = lint_spec(make_mutant(faithful), use_cache=False)
+        report = lint_spec(make_mutant(faithful))
         assert report.errors == [] and report.warnings == []
         assert str(report.verdict) == "batch-safe"
         assert report.backends["batched"] == "safe"
@@ -263,7 +263,7 @@ class TestMutationHarness:
             work=min,  # builtin: inspect.getsource fails
             work_batch=max,
         )
-        report = lint_spec(spec, use_cache=False)
+        report = lint_spec(spec)
         assert "TW100" in report.codes()
         assert str(report.verdict) == "needs-dynamic-check"
 
@@ -303,33 +303,29 @@ class TestAutoRefusal:
         choice = choose_backend(make_pc(512).make_spec())
         assert choice.backend == "batched"
 
-    def test_monkeypatched_unsafe_soa_downgrades(self, monkeypatch):
+    def test_monkeypatched_unsafe_soa_downgrades(self, force_conformance):
         """Verdict wiring, isolated from the analyzer: force 'soa'
         unsafe and watch the selector reroute to a proven backend."""
+        from repro.bench.workloads import make_tj
         from repro.core import backend_select
 
-        monkeypatch.setattr(
-            backend_select,
-            "conformance_verdicts",
-            lambda spec: {
-                "recursive": "safe",
-                "batched": "safe",
-                "soa": "unsafe",
-            },
-        )
-        from repro.bench.workloads import make_tj
-
+        force_conformance(batched="safe", soa="unsafe")
         choice = backend_select.choose_backend(make_tj(200).make_spec())
         assert choice.backend == "batched"
         assert "unsafe" in choice.reason
 
     def test_verdict_lookup_failure_is_not_fatal(self):
-        """If the analyzer itself blows up (here: fed a non-spec),
-        selection proceeds on the structural choice instead of
-        crashing the run."""
+        """If the analyzer itself blows up (here: fed a non-spec), the
+        pick falls back to the reference executors instead of crashing
+        the run, and the error is on the record."""
         from repro.core import backend_select
 
-        assert backend_select.conformance_verdicts(object()) is None
+        structural = backend_select.BackendChoice("soa", "structural", {})
+        with pytest.warns(RuntimeWarning, match="analyzer failed"):
+            backend_select._reset_conformance_warning()
+            choice = backend_select._refuse_unproven(structural, object())
+        assert choice.backend == "recursive"
+        assert "AttributeError" in choice.features["conformance_error"]
 
 
 def make_spec_large_unsafe(root):
@@ -359,14 +355,14 @@ def make_spec_large_unsafe(root):
 
 class TestReportShape:
     def test_render_names_backends_and_verdict(self):
-        report = lint_spec(make_mutant(wrong_field), use_cache=False)
+        report = lint_spec(make_mutant(wrong_field))
         text = report.render()
         assert "backend batched: unsafe" in text
         assert "verdict: unsafe" in text
         assert "TW101" in text
 
     def test_to_json_schema(self):
-        report = lint_spec(make_mutant(vectorized_rmw), use_cache=False)
+        report = lint_spec(make_mutant(vectorized_rmw))
         payload = report.to_json()
         assert payload["schema_version"] == SCHEMA_VERSION == 2
         assert payload["kind"] == "spec-conformance"
@@ -382,7 +378,7 @@ class TestReportShape:
         json.dumps(payload)  # serializable end to end
 
     def test_kernel_footprints_are_reported(self):
-        report = lint_spec(make_mutant(wrong_field), use_cache=False)
+        report = lint_spec(make_mutant(wrong_field))
         by_role = {k.role: k for k in report.kernels}
         assert by_role["work"].analyzable
         assert "pairs" in {
@@ -422,11 +418,6 @@ class TestCaching:
         first = lint_spec(spec)
         clear_cache()
         assert lint_spec(spec) is not first
-
-    def test_use_cache_false_bypasses(self):
-        spec = make_mutant(wrong_field)
-        first = lint_spec(spec)
-        assert lint_spec(spec, use_cache=False) is not first
 
     def test_distinct_kernels_do_not_collide(self):
         bad = lint_spec(make_mutant(wrong_field))

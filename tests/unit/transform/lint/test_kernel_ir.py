@@ -403,14 +403,14 @@ class TestConformanceFacts:
 # One extraction per kernel family, shared by every spec-level pass
 
 
-def _lint_all(spec, use_cache=True):
+def _lint_all(spec):
     from repro.transform.lint.backend import lint_spec
     from repro.transform.lint.locality import lint_locality
     from repro.transform.lint.lower import lint_lower
 
-    lint_spec(spec, use_cache=use_cache)
-    lint_lower(spec, use_cache=use_cache)
-    lint_locality(spec, use_cache=use_cache)
+    lint_spec(spec)
+    lint_lower(spec)
+    lint_locality(spec)
 
 
 @pytest.fixture
@@ -459,14 +459,14 @@ class TestSharedExtraction:
         _lint_all(task)
         assert extractions == Counter()
 
-    def test_uncached_runs_and_clear_cache_extract_afresh(self, extractions):
+    def test_clear_cache_extracts_afresh(self, extractions):
         from repro.transform.lint import backend, locality, lower
 
         spec = _pc_spec()
         _lint_all(spec)
         extractions.clear()
-        _lint_all(spec, use_cache=False)
-        assert extractions["work"] == 3  # one fresh extraction per pass
+        _lint_all(spec)
+        assert extractions == Counter()
         for module in (backend, lower, locality):
             extractions.clear()
             module.clear_cache()
@@ -475,14 +475,13 @@ class TestSharedExtraction:
 
 
 class TestNoLiveObjectsRetained:
-    @pytest.mark.parametrize("use_cache", [True, False])
-    def test_outer_root_dies_with_the_spec(self, use_cache):
+    def test_outer_root_dies_with_the_spec(self):
         from repro.bench.workloads import make_pc
 
         case = make_pc(512)
         spec = case.make_spec()
         root = weakref.ref(spec.outer_root)
-        _lint_all(spec, use_cache=use_cache)
+        _lint_all(spec)
         del spec, case
         gc.collect()
         assert root() is None

@@ -204,9 +204,7 @@ class TestVerdictTable:
     def test_bfs_layout_is_always_neutral(self):
         for nodes in (15, 31, 127):
             report = lint_locality(
-                payload_spec(num_nodes=nodes),
-                cache_model=tiny_model(),
-                use_cache=False,
+                payload_spec(num_nodes=nodes), cache_model=tiny_model()
             )
             assert report.verdicts["layout:bfs"] is LocalityVerdict.NEUTRAL
 
@@ -266,14 +264,6 @@ class TestReportCache:
         assert small is not large
         assert large.verdicts["interchange"] is LocalityVerdict.NEUTRAL
 
-    def test_use_cache_false_bypasses_the_cache(self):
-        spec = payload_spec()
-        first = lint_locality(spec, cache_model=tiny_model())
-        assert (
-            lint_locality(spec, cache_model=tiny_model(), use_cache=False)
-            is not first
-        )
-
     def test_a_dead_root_drops_its_entries(self):
         spec = payload_spec()
         lint_locality(spec, cache_model=tiny_model())
@@ -312,7 +302,7 @@ class TestReportCache:
         gc.collect()
         for cache in (locality._REPORT_CACHE, locality._PAYLOAD_CACHE):
             assert len(cache) <= cache.cap
-            for refs, _value in cache._entries.values():
+            for refs, *_value in cache._entries.values():
                 assert all(ref() is not None for ref in refs)
 
     def test_task_spec_over_the_same_inner_tree_does_not_rescan(

@@ -133,13 +133,6 @@ class TestCache:
         second = lint_lower(other.make_spec())
         assert first is not second
 
-    def test_use_cache_false_bypasses(self):
-        case = next(c for c in small_cases() if c.name == "TJ")
-        spec = case.make_spec()
-        assert lint_lower(spec, use_cache=False) is not lint_lower(
-            spec, use_cache=False
-        )
-
 
 class TestInjectivityPrecondition:
     @staticmethod
