@@ -18,7 +18,7 @@ Run:  python examples/loops_to_recursion.py
 
 import numpy as np
 
-from repro.core import OpCounter, combine, run_original, run_twisted
+from repro.core import run_original, run_twisted
 from repro.core.instruments import CacheProbe, WorkRecorder
 from repro.kernels import divide_and_conquer_spec, loop_nest_spec, unit_work_points
 from repro.memory import AddressMap, CacheHierarchy

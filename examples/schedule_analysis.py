@@ -9,7 +9,6 @@ Run:  python examples/schedule_analysis.py
 """
 
 from repro.analysis import (
-    balance_profile,
     compare_profiles,
     dominance,
     window_balance,

@@ -1,46 +1,70 @@
-"""Point-level leaf frontiers: exact k-NN and range counts per query point.
+"""Point frontiers: exact k-NN and range counts by a per-point tree descent.
 
 A serve tick asks many independent one-point questions of one resident
 reference kd-tree: the §2.2 shape (many outer points, one inner tree)
-with the outer tree flattened to one-point leaves.  Instead of a
-dual-tree traversal, every query point gets a *leaf frontier*:
+with the outer tree flattened to one-point leaves.  The paper's
+irregular truncation (§4, ``truncateInner2?(o, i)``) with one-point
+outer leaves is exactly a pruned descent of the inner tree per query
+point.  This module runs that descent level-synchronously over
+(point, node) pairs:
 
-1. one min-distance row from the point to every reference leaf box, in
-   preorder — the §4.2 subtree truncation of a one-point query leaf,
-   flattened to a per-point leaf row;
-2. a bound: the radius for a count; for k-NN, the k-th smallest
-   distance over the points of the point's ``min(k, leaves)`` nearest
-   leaves (its *seed* leaves, which hold at least k points);
-3. the frontier: the leaves whose min-distance is ≤ the bound.  Their
-   (point, leaf) pairs are evaluated with the element expression of
-   :func:`~repro.dualtree.rules._pairwise_distances` and reduced by a
-   lexicographic ``(distance, id)`` top-k or an integer sum.
+1. **Cut level.**  Each point starts with one dense min-distance row
+   over the tree's *cut*: the nodes :data:`CUT_DEPTH` levels below the
+   root, plus any leaf above that depth (64 nodes on a deep tree).  The
+   surviving (point, cut node) pairs are the descent's first active
+   pairs.  A row over the leaves would be the same algorithm with the
+   cut at the leaves.
+2. **Bounds.**  A count's bound is its radius.  A k-NN bound is seeded
+   by a greedy dive to the deepest node on the point's path that holds
+   at least k points (its *seed*): the k-th distance over the seed's
+   points bounds the final k-th distance from above, however k compares
+   with the leaf size.  The seed's leaves are merged before the
+   descent and skipped during it — a candidate merged twice would take
+   two top-k slots.
+3. **Descent.**  Each step takes the active pairs, evaluates the ones
+   at leaves and replaces the others by their two children.  A child
+   pair is dropped when the node's min-distance exceeds the point's
+   bound (for k-NN the current k-th distance, which tightens as leaves
+   merge), and a count adds a node whole when its max-distance is
+   ≤ the radius.  Leaf pairs are evaluated with the element expression
+   of :func:`~repro.dualtree.rules._pairwise_distances` and reduced by
+   a lexicographic ``(distance, id)`` top-k or an integer sum.
 
 **Exactness.**  Both reductions depend only on *which* candidates are
 seen, never on the order they are seen in (the set-semantics argument
-of :mod:`repro.serve.rules`).  A leaf outside a count frontier has
-min-distance > radius, so it holds no point within the radius.  A leaf
-outside a k-NN frontier has min-distance > bound ≥ the final k-th
-distance, so it holds only strictly worse candidates.  Both hold bit
-for bit, not just in exact arithmetic: distances use the element
-expression of ``_pairwise_distances`` (squared terms summed axis by
-axis below :data:`~repro.dualtree.boxes.PAIRWISE_DIM` dimensions, by
-NumPy's pairwise reduction from there up), and min-distance rows are
-:func:`~repro.dualtree.batch.min_dists_to_tree`'s expression for the
-point's zero-volume box, which sums its squared gaps the same way — so
-an entry never exceeds the distance to any point the leaf holds.
+of :mod:`repro.serve.rules`).  A dropped count pair's node holds no
+point within the radius; a dropped k-NN pair's node holds only
+candidates strictly worse than the final k-th.  This holds bit for
+bit: a min-distance sums its squared per-axis gaps the way distances
+are summed (axis by axis below
+:data:`~repro.dualtree.boxes.PAIRWISE_DIM` dimensions, by NumPy's
+pairwise reduction from there up), and no gap exceeds the matching
+coordinate difference, so it never exceeds the distance to a point the
+node holds.
 
-**Working set.**  Query points are processed in chunks whose
-min-distance block holds at most :data:`ROW_ENTRIES` floats, and
-frontier pairs in blocks whose gathered leaf coordinates hold at most
-:data:`PAIR_ENTRIES` floats, so a call's temporaries stay near 1 MiB
-however many points or references there are — tiled execution without
-materializing the points × references space.
+**Inclusion.**  A node's max-distance is computed the way point
+distances are: per axis ``max(x - lo, hi - x)``, squared, summed in the
+same order, square root.  Correctly rounded subtraction,
+multiplication, addition and square root are monotone, and each axis
+term bounds the matching coordinate difference of every point inside
+the box, so the max-distance never undercuts the computed distance of
+a point the node holds.  A node counted whole therefore adds exactly
+the points a leaf-by-leaf evaluation would.
+
+**Working set.**  Dense cut rows are taken for chunks of points whose
+row block holds at most :data:`ROW_ENTRIES` floats.  The descent
+expands at most :data:`ACTIVE_PAIRS` pairs per step (a larger active
+set is split and the rest waits on a stack), and leaf pairs are
+evaluated in blocks whose gathered coordinates hold at most
+:data:`PAIR_ENTRIES` floats.  So a call's temporaries stay near 1 MiB
+however many points there are, and the points × nodes space is never
+materialized (the tiling PCOT uses, see PAPERS.md).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -49,11 +73,17 @@ from repro.dualtree.boxes import PAIRWISE_DIM
 from repro.dualtree.spatial import SpatialTree
 from repro.errors import SpecError
 
-#: Floats in one chunk's min-distance block (points × leaves, times
-#: the dimension from PAIRWISE_DIM up, where rows reduce a 3-D block).
-ROW_ENTRIES = 1 << 14
+#: Depth of the cut level every point's dense row covers.
+CUT_DEPTH = 6
 
-#: Floats of leaf coordinates gathered for one block of frontier
+#: Floats in one chunk's dense cut-row block (points × cut nodes ×
+#: dimension): 256 two-dimensional points over a 64-node cut.
+ROW_ENTRIES = 1 << 15
+
+#: Active (point, node) pairs one descent step expands at most.
+ACTIVE_PAIRS = 1 << 12
+
+#: Floats of leaf coordinates gathered for one block of evaluated
 #: (point, leaf) pairs (pairs × leaf capacity × dimension).
 PAIR_ENTRIES = 1 << 14
 
@@ -62,23 +92,92 @@ PAIR_ENTRIES = 1 << 14
 PAD_ID = np.iinfo(np.int64).max
 
 
-def leaf_bounds(tree: SpatialTree) -> tuple[np.ndarray, np.ndarray]:
-    """(leaves, dim) lower and upper leaf-box corners, in leaf-block rows.
+@dataclass
+class NodeArrays:
+    """One kd-tree's nodes as arrays, indexed by preorder ``node.number``."""
 
-    Built once per tree and cached on it, like
-    :func:`~repro.dualtree.batch.leaf_blocks` (whose rows are the
-    preorder leaf list too).  Only hyperrectangle (kd-tree) bounds have
-    a box to measure against.
+    #: (nodes, dim) lower and upper box corners
+    lo: np.ndarray
+    hi: np.ndarray
+    #: (nodes, 2) left and right child numbers, -1 at leaves
+    children: np.ndarray
+    #: (nodes,) points under each node
+    count: np.ndarray
+    #: (nodes,) the leaf's :class:`LeafBlocks` row, -1 for internal nodes
+    leaf_row: np.ndarray
+    #: (nodes,) the subtree's leaves are rows ``[first_leaf, stop_leaf)``
+    first_leaf: np.ndarray
+    stop_leaf: np.ndarray
+    #: (nodes,) the seed dive's branch test: go right when the point's
+    #: ``split_axis`` coordinate is >= ``split_at`` (the right child's
+    #: lower corner on the node's widest axis)
+    split_axis: np.ndarray
+    split_at: np.ndarray
+    #: (cut,) the cut level's node numbers, preorder, and their boxes
+    cut: np.ndarray
+    cut_lo: np.ndarray
+    cut_hi: np.ndarray
+
+
+def node_arrays(tree: SpatialTree) -> NodeArrays:
+    """The tree's :class:`NodeArrays`, built once and cached on the tree.
+
+    Like :func:`~repro.dualtree.batch.leaf_blocks`, whose rows the
+    ``leaf_row`` column points into.  Only hyperrectangle (kd-tree)
+    bounds have a box to measure against.
     """
-    cached = getattr(tree, "_leaf_bounds", None)
+    cached = getattr(tree, "_node_arrays", None)
     if cached is None:
-        arrays = bound_arrays(tree)
-        if arrays is None:
-            raise SpecError("leaf frontiers need hyperrectangle leaf bounds")
-        numbers = np.array([leaf.number for leaf in tree.leaves()])
-        cached = (arrays.mins[numbers], arrays.maxs[numbers])
-        tree._leaf_bounds = cached  # type: ignore[attr-defined]
+        cached = _build_node_arrays(tree)
+        tree._node_arrays = cached  # type: ignore[attr-defined]
     return cached
+
+
+def _build_node_arrays(tree: SpatialTree) -> NodeArrays:
+    bounds = bound_arrays(tree)
+    if bounds is None:
+        raise SpecError("point frontiers need hyperrectangle node bounds")
+    row_of = leaf_blocks(tree).row_of
+    total = tree.num_nodes
+    children = np.full((total, 2), -1, dtype=np.intp)
+    count = np.empty(total, dtype=np.int64)
+    leaf_row = np.full(total, -1, dtype=np.intp)
+    end = np.empty(total, dtype=np.intp)
+    depth = np.zeros(total, dtype=np.intp)
+    for node in tree.root.iter_preorder():
+        number = node.number
+        count[number] = node.count  # type: ignore[attr-defined]
+        end[number] = number + node.size
+        if node.children:
+            children[number] = [child.number for child in node.children]
+            depth[children[number]] = depth[number] + 1
+        else:
+            leaf_row[number] = row_of[number]
+    leaf_numbers = np.flatnonzero(leaf_row >= 0)
+    inner = np.flatnonzero(leaf_row < 0)
+    split_axis = np.zeros(total, dtype=np.intp)
+    split_at = np.zeros(total)
+    split_axis[inner] = np.argmax(
+        bounds.maxs[inner] - bounds.mins[inner], axis=1
+    )
+    split_at[inner] = bounds.mins[children[inner, 1], split_axis[inner]]
+    cut = np.flatnonzero(
+        (depth == CUT_DEPTH) | ((depth < CUT_DEPTH) & (leaf_row >= 0))
+    )
+    return NodeArrays(
+        lo=bounds.mins,
+        hi=bounds.maxs,
+        children=children,
+        count=count,
+        leaf_row=leaf_row,
+        first_leaf=np.searchsorted(leaf_numbers, np.arange(total)),
+        stop_leaf=np.searchsorted(leaf_numbers, end),
+        split_axis=split_axis,
+        split_at=split_at,
+        cut=cut,
+        cut_lo=bounds.mins[cut],
+        cut_hi=bounds.maxs[cut],
+    )
 
 
 def _check_points(points: np.ndarray, tree: SpatialTree) -> np.ndarray:
@@ -91,29 +190,41 @@ def _check_points(points: np.ndarray, tree: SpatialTree) -> np.ndarray:
     return points
 
 
-def _min_dists(chunk: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(points, leaves) min distances from each point to each leaf box.
+def _squared_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum squared terms over the last axis the way point distances are.
 
-    ``min_dists_to_tree`` for many zero-volume boxes at once: per axis
-    the gap ``max(lo - x, x - hi, 0)``, squared, summed axis by axis
-    (or by NumPy's reduction from :data:`PAIRWISE_DIM` up), square root.
+    NumPy's reduction runs left to right below :data:`PAIRWISE_DIM`
+    and pairwise from there up; below it, column adds give the same
+    left-to-right sums without a reduction call per short row.
     """
-    if chunk.shape[1] >= PAIRWISE_DIM:
-        x = chunk[:, None, :]
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        return np.sqrt((gap * gap).sum(axis=2))
-    total = np.zeros((len(chunk), len(lo)))
-    gap = np.empty_like(total)
-    other = np.empty_like(total)
-    for axis in range(chunk.shape[1]):
-        x = chunk[:, axis, None]
-        np.subtract(lo[:, axis], x, out=gap)
-        np.subtract(x, hi[:, axis], out=other)
-        np.maximum(gap, other, out=gap)
-        np.maximum(gap, 0.0, out=gap)
-        np.multiply(gap, gap, out=gap)
-        total += gap
-    return np.sqrt(total, out=total)
+    terms *= terms
+    if terms.shape[-1] >= PAIRWISE_DIM:
+        return terms.sum(axis=-1)
+    total = terms[..., 0].copy()
+    for axis in range(1, terms.shape[-1]):
+        total += terms[..., axis]
+    return total
+
+
+def _box_dists(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, far: bool
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Min- (and, with ``far``, max-) distances from points to boxes.
+
+    ``x``, ``lo`` and ``hi`` broadcast over their leading axes; the last
+    is the dimension.  Per axis the gap ``x - min(max(x, lo), hi)`` (the
+    rounded ``x - lo`` or ``x - hi``, or 0) and the reach
+    ``max(x - lo, hi - x)`` are squared and summed like distances.
+    """
+    terms = np.maximum(x, lo)
+    np.minimum(terms, hi, out=terms)
+    np.subtract(x, terms, out=terms)
+    near = np.sqrt(_squared_sums(terms))
+    if not far:
+        return near, None
+    np.subtract(x, lo, out=terms)
+    np.maximum(terms, hi - x, out=terms)
+    return near, np.sqrt(_squared_sums(terms))
 
 
 def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,11 +244,9 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _chunks(count: int, lo: np.ndarray) -> Iterator[slice]:
-    """Point slices whose min-distance block holds <= ROW_ENTRIES floats."""
-    leaves, dim = lo.shape
-    width = leaves * (dim if dim >= PAIRWISE_DIM else 1)
-    rows = max(1, ROW_ENTRIES // width)
+def _chunks(count: int, arrays: NodeArrays) -> Iterator[slice]:
+    """Point slices whose dense cut row holds <= ROW_ENTRIES floats."""
+    rows = max(1, ROW_ENTRIES // arrays.cut_lo.size)
     for start in range(0, count, rows):
         yield slice(start, start + rows)
 
@@ -150,6 +259,45 @@ def _pair_blocks(
     step = max(1, PAIR_ENTRIES // (capacity * dim))
     for start in range(0, len(rows), step):
         yield rows[start : start + step], leaves[start : start + step]
+
+
+def _descend(
+    rows: np.ndarray,
+    nodes: np.ndarray,
+    arrays: NodeArrays,
+    visit: Callable[[np.ndarray, np.ndarray], None],
+    survive: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> None:
+    """Run (point, node) pairs down the tree until none is left.
+
+    ``visit(rows, leaf_rows)`` evaluates pairs that reached a leaf;
+    ``survive(rows, nodes)`` masks the child pairs worth keeping.  Rows
+    stay sorted within every block: children are interleaved behind
+    their parent pair.  Expanding at most half of :data:`ACTIVE_PAIRS`
+    pairs per step keeps each step's children within the cap; the
+    remainder waits on the stack, so later blocks meet the bounds the
+    earlier ones tightened.
+    """
+    half = max(1, ACTIVE_PAIRS // 2)
+    stack = [(rows, nodes)]
+    while stack:
+        rows, nodes = stack.pop()
+        if len(rows) > half:
+            stack.append((rows[half:], nodes[half:]))
+            rows, nodes = rows[:half], nodes[:half]
+        leaf = arrays.leaf_row[nodes]
+        at_leaf = leaf >= 0
+        if at_leaf.any():
+            visit(rows[at_leaf], leaf[at_leaf])
+            inner = ~at_leaf
+            rows, nodes = rows[inner], nodes[inner]
+            if not len(rows):
+                continue
+        rows = rows.repeat(2)
+        nodes = arrays.children.take(nodes, axis=0).ravel()
+        keep = survive(rows, nodes)
+        if keep.any():
+            stack.append((rows[keep], nodes[keep]))
 
 
 def _merge_top_k(
@@ -166,7 +314,9 @@ def _merge_top_k(
     first k entries become its new state.
     """
     k = best_d.shape[1]
-    touched = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
+    first = np.ones(len(rows), dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    touched = rows[first]
     cand_r = np.concatenate([rows, np.repeat(touched, k)])
     cand_d = np.concatenate([dists, best_d[touched].ravel()])
     cand_i = np.concatenate([ids, best_i[touched].ravel()])
@@ -187,17 +337,61 @@ def _merge_pairs(
     leaves: np.ndarray,
     blocks: LeafBlocks,
 ) -> None:
-    """Evaluate (point, leaf) pairs block by block into the top-k state."""
+    """Evaluate (point, leaf) pairs block by block into the top-k state.
+
+    Only candidates that can still enter a row's top k are merged: a
+    distance above the row's k-th cannot, one equal to it can (its id
+    may win the tie).
+    """
+    bound = best_d[:, -1]
     for row_block, leaf_block in _pair_blocks(rows, leaves, blocks):
-        dists = _pair_distances(chunk[row_block], blocks.points[leaf_block])
-        valid = blocks.valid[leaf_block]
-        _merge_top_k(
-            best_d,
-            best_i,
-            np.broadcast_to(row_block[:, None], valid.shape)[valid],
-            dists[valid],
-            blocks.ids[leaf_block][valid],
+        dists = _pair_distances(
+            chunk.take(row_block, axis=0),
+            blocks.points.take(leaf_block, axis=0),
         )
+        keep = blocks.valid.take(leaf_block, axis=0)
+        keep &= dists <= bound.take(row_block)[:, None]
+        if keep.any():
+            _merge_top_k(
+                best_d,
+                best_i,
+                np.broadcast_to(row_block[:, None], keep.shape)[keep],
+                dists[keep],
+                blocks.ids.take(leaf_block, axis=0)[keep],
+            )
+
+
+def _seed_nodes(
+    chunk: np.ndarray, near: np.ndarray, arrays: NodeArrays, k: int
+) -> np.ndarray:
+    """Per point, the deepest node on its dive path holding >= k points.
+
+    The dive starts at the point's nearest cut node (``near`` is its
+    cut row), or at the root when that node holds fewer than k points.
+    """
+    node = arrays.cut[np.argmin(near, axis=1)]
+    node[arrays.count[node] < k] = 0  # the root is node 0
+    active = np.arange(len(chunk))
+    while len(active):
+        here = node[active]
+        side = chunk[active, arrays.split_axis[here]] >= arrays.split_at[here]
+        child = arrays.children[here, side.view(np.int8)]
+        # A leaf's children are -1; its count lookup is masked out.
+        deep = (child >= 0) & (arrays.count[child] >= k)
+        active = active[deep]
+        node[active] = child[deep]
+    return node
+
+
+def _subtree_leaves(
+    arrays: NodeArrays, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, leaf row) pairs covering every leaf under ``nodes[row]``."""
+    first = arrays.first_leaf[nodes]
+    spans = arrays.stop_leaf[nodes] - first
+    rows = np.repeat(np.arange(len(nodes)), spans)
+    shift = np.repeat(np.cumsum(spans) - spans - first, spans)
+    return rows, np.arange(len(rows)) - shift
 
 
 def knn_frontier(
@@ -214,35 +408,44 @@ def knn_frontier(
         raise SpecError(
             f"k={k} is outside 1..{tree.num_points}, the reference count"
         )
+    arrays = node_arrays(tree)
     blocks = leaf_blocks(tree)
-    lo, hi = leaf_bounds(tree)
-    num_leaves = len(lo)
-    seeds_per_point = min(k, num_leaves)
     ids = np.full((len(points), k), PAD_ID, dtype=np.int64)
     dists = np.full((len(points), k), np.inf)
-    for span in _chunks(len(points), lo):
+    for span in _chunks(len(points), arrays):
         chunk, best_d, best_i = points[span], dists[span], ids[span]
-        min_dists = _min_dists(chunk, lo, hi)
-        local = np.arange(len(chunk))
-        if seeds_per_point < num_leaves:
-            seeds = np.argpartition(min_dists, seeds_per_point - 1, axis=1)
-            seeds = seeds[:, :seeds_per_point]
-        else:
-            seeds = np.broadcast_to(np.arange(num_leaves), min_dists.shape)
-        # The seed leaves hold >= k points, so their k-th distance
-        # bounds the final k-th distance from above.
-        _merge_pairs(
-            best_d,
-            best_i,
-            chunk,
-            np.repeat(local, seeds_per_point),
-            seeds.ravel(),
-            blocks,
+        near, _ = _box_dists(
+            chunk[:, None, :], arrays.cut_lo, arrays.cut_hi, far=False
         )
-        frontier = min_dists <= best_d[:, -1:]
-        frontier[local[:, None], seeds] = False  # already merged
-        rows, leaves = np.nonzero(frontier)
-        _merge_pairs(best_d, best_i, chunk, rows, leaves, blocks)
+        seeds = _seed_nodes(chunk, near, arrays, k)
+        _merge_pairs(
+            best_d, best_i, chunk, *_subtree_leaves(arrays, seeds), blocks
+        )
+        seed_first = arrays.first_leaf[seeds]
+        seed_stop = arrays.stop_leaf[seeds]
+        bound = best_d[:, -1]  # a view: tightens as merges land
+
+        def visit(rows: np.ndarray, leaves: np.ndarray) -> None:
+            # The seeds' leaves are merged already.
+            fresh = (leaves < seed_first.take(rows)) | (
+                leaves >= seed_stop.take(rows)
+            )
+            _merge_pairs(
+                best_d, best_i, chunk, rows[fresh], leaves[fresh], blocks
+            )
+
+        def survive(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+            near, _ = _box_dists(
+                chunk.take(rows, axis=0),
+                arrays.lo.take(nodes, axis=0),
+                arrays.hi.take(nodes, axis=0),
+                far=False,
+            )
+            return near <= bound.take(rows)
+
+        rows, cols = np.nonzero(near <= bound[:, None])
+        del near
+        _descend(rows, arrays.cut[cols], arrays, visit, survive)
     return {"ids": ids, "dists": dists}
 
 
@@ -256,16 +459,44 @@ def count_frontier(
     points = _check_points(points, tree)
     if not radius >= 0.0:
         raise SpecError(f"radius must be >= 0, got {radius}")
+    arrays = node_arrays(tree)
     blocks = leaf_blocks(tree)
-    lo, hi = leaf_bounds(tree)
     counts = np.zeros(len(points), dtype=np.int64)
-    for span in _chunks(len(points), lo):
+    for span in _chunks(len(points), arrays):
         chunk, chunk_counts = points[span], counts[span]
-        rows, leaves = np.nonzero(_min_dists(chunk, lo, hi) <= radius)
-        for row_block, leaf_block in _pair_blocks(rows, leaves, blocks):
-            dists = _pair_distances(
-                chunk[row_block], blocks.points[leaf_block]
+
+        def visit(rows: np.ndarray, leaves: np.ndarray) -> None:
+            for row_block, leaf_block in _pair_blocks(rows, leaves, blocks):
+                dists = _pair_distances(
+                    chunk.take(row_block, axis=0),
+                    blocks.points.take(leaf_block, axis=0),
+                )
+                hits = dists <= radius
+                hits &= blocks.valid.take(leaf_block, axis=0)
+                np.add.at(chunk_counts, row_block, hits.sum(axis=1))
+
+        def survive(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+            near, reach = _box_dists(
+                chunk.take(rows, axis=0),
+                arrays.lo.take(nodes, axis=0),
+                arrays.hi.take(nodes, axis=0),
+                far=True,
             )
-            hits = (dists <= radius) & blocks.valid[leaf_block]
-            np.add.at(chunk_counts, row_block, hits.sum(axis=1))
+            inside = reach <= radius
+            if inside.any():
+                np.add.at(
+                    chunk_counts,
+                    rows[inside],
+                    arrays.count.take(nodes[inside]),
+                )
+            return (near <= radius) & ~inside
+
+        near, reach = _box_dists(
+            chunk[:, None, :], arrays.cut_lo, arrays.cut_hi, far=True
+        )
+        inside = reach <= radius
+        chunk_counts += (inside * arrays.count[arrays.cut]).sum(axis=1)
+        rows, cols = np.nonzero((near <= radius) & ~inside)
+        del near, reach, inside
+        _descend(rows, arrays.cut[cols], arrays, visit, survive)
     return {"counts": counts}

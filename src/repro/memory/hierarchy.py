@@ -20,7 +20,7 @@ DESIGN.md Section 2 for the substitution argument).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import MemorySimError

@@ -15,6 +15,28 @@ before switching — see :mod:`repro.serve.framing`; JSON stays the
 default.  The reference set is synthetic — clustered points,
 deterministic in ``--seed`` — or loaded from an ``.npy`` file via
 ``--references-file``.
+
+**The front end.**  Each connection runs one read loop for both
+framings; a small codec per framing (:class:`_JsonCodec`,
+:class:`_BinaryCodec`) reads requests and encodes answers.  The loop
+decodes and checks each query (:meth:`QueryService.check_query`), then
+admits it with :meth:`AdmissionBatcher.submit`, which returns the
+result future — no task is created per request.  A done-callback
+encodes the answer into the connection's buffer, each distinct result
+once (the batcher resolves one result's futures consecutively), and
+the buffer leaves in one ``writer.write`` per event-loop iteration, so
+a tick's answers reach each connection in one write.
+
+**Backpressure.**  Before reading the next request, the loop awaits
+``drain()`` while the connection's unsent answers are above the
+transport's high-water mark.  A client that stops reading stops being
+admitted; the answers still owed are those of the queries already in
+flight.
+
+**Hello ordering.**  A hello is answered after the connection's
+in-flight answers: they are written first, then the JSON ack, and only
+then does the loop switch framing, so from the byte after the ack both
+sides exchange frames.
 """
 
 from __future__ import annotations
@@ -23,12 +45,15 @@ import argparse
 import asyncio
 import json
 import sys
+from functools import partial
+from typing import Any, Optional
 
 import numpy as np
 
+from repro.errors import SpecError
 from repro.serve import framing as fr
 from repro.serve.batcher import AdmissionBatcher
-from repro.serve.protocol import decode_query, encode_result
+from repro.serve.protocol import Query, Result, decode_query, encode_result
 from repro.serve.service import QueryService, ServiceConfig
 
 
@@ -109,6 +134,181 @@ def _collect_stats(service: QueryService, batcher: AdmissionBatcher) -> dict:
     return stats
 
 
+#: A decoded request: (op, request id, body).  ``op`` is ``query``,
+#: ``hello``, ``stats``, ``ping``, ``shutdown`` or ``None`` for a
+#: request that gets an error reply, whose message is then the body.
+Request = tuple[Optional[str], Any, Any]
+
+
+def _json_line(payload: dict) -> bytes:
+    return json.dumps(payload).encode() + b"\n"
+
+
+class _JsonCodec:
+    """Newline-delimited JSON requests and answers (the default framing)."""
+
+    async def read(self, reader: asyncio.StreamReader) -> Optional[Request]:
+        """The next request; ``None`` at end of stream."""
+        line = await reader.readline()
+        if not line:
+            return None
+        try:
+            request = json.loads(line)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            return None, None, str(exc)
+        if not isinstance(request, dict):
+            return None, None, "a request must be a JSON object"
+        op = request.get("op")
+        request_id = request.get("id")
+        if op == "query":
+            return op, request_id, request.get("query", {})
+        if op == "hello":
+            return op, request_id, request.get("framing", "json")
+        if op in ("stats", "ping", "shutdown"):
+            return op, request_id, None
+        return None, request_id, f"unknown op {op!r}"
+
+    def decode(self, body: Any) -> Query:
+        return decode_query(body)
+
+    def encode(self, result: Result) -> str:
+        """One result's JSON, shared by every request it answers."""
+        return json.dumps(encode_result(result))
+
+    def result(self, request_id: Any, encoded: str) -> bytes:
+        if type(request_id) is int:
+            rid = str(request_id)
+        else:
+            rid = json.dumps(request_id)
+        return f'{{"id": {rid}, "ok": true, "result": {encoded}}}\n'.encode()
+
+    def error(self, request_id: Any, message: str) -> bytes:
+        return _json_line({"id": request_id, "ok": False, "error": message})
+
+    def ok(self, request_id: Any) -> bytes:
+        return _json_line({"id": request_id, "ok": True})
+
+    def stats(self, request_id: Any, stats: dict) -> bytes:
+        return _json_line({"id": request_id, "ok": True, "stats": stats})
+
+
+class _BinaryCodec:
+    """Length-prefixed frames (:mod:`repro.serve.framing`), after a hello."""
+
+    #: request frame type -> op
+    OPS = {
+        fr.T_QUERY: "query",
+        fr.T_STATS: "stats",
+        fr.T_PING: "ping",
+        fr.T_SHUTDOWN: "shutdown",
+    }
+
+    async def read(self, reader: asyncio.StreamReader) -> Optional[Request]:
+        """The next request; ``None`` at end of stream.
+
+        A corrupt stream raises :class:`SpecError`.
+        """
+        frame = await fr.read_frame_async(reader)
+        if frame is None:
+            return None
+        frame_type, request_id, body = frame
+        op = self.OPS.get(frame_type)
+        if op is None:
+            return None, request_id, f"unknown frame type 0x{frame_type:02x}"
+        return op, request_id, body
+
+    def decode(self, body: bytes) -> Query:
+        return fr.unpack_query(body)
+
+    def encode(self, result: Result) -> bytes:
+        """One result's body, shared by every request it answers."""
+        return fr.pack_result(result)
+
+    def result(self, request_id: int, encoded: bytes) -> bytes:
+        return fr.encode_frame(fr.T_RESULT, request_id, encoded)
+
+    def error(self, request_id: int, message: str) -> bytes:
+        return fr.encode_frame(fr.T_ERROR, request_id, message.encode())
+
+    def ok(self, request_id: int) -> bytes:
+        return fr.encode_frame(fr.T_OK, request_id)
+
+    def stats(self, request_id: int, stats: dict) -> bytes:
+        body = json.dumps(stats).encode()
+        return fr.encode_frame(fr.T_STATS_REPLY, request_id, body)
+
+
+CODECS = {"json": _JsonCodec(), "binary": _BinaryCodec()}
+
+
+class _Connection:
+    """One client connection's answer buffer and in-flight queries."""
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.transport = writer.transport
+        self.loop = asyncio.get_running_loop()
+        #: encoded answers (and their byte count) waiting for this
+        #: iteration's single write
+        self.buffer: list[bytes] = []
+        self.flush_pending = False
+        self.queued = 0
+        #: futures of this connection's admitted queries
+        self.in_flight: set[asyncio.Future] = set()
+        #: (codec, result, encoding) of the last distinct result written
+        self.last: tuple[Any, Any, Any] = (None, None, None)
+
+    def send(self, data: bytes) -> None:
+        """Queue bytes for the next flush (one per loop iteration)."""
+        self.buffer.append(data)
+        self.queued += len(data)
+        if not self.flush_pending:
+            self.flush_pending = True
+            self.loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Write everything queued in one ``writer.write``."""
+        self.flush_pending = False
+        if self.buffer:
+            data = b"".join(self.buffer)
+            self.buffer.clear()
+            self.queued = 0
+            if not self.transport.is_closing():
+                self.writer.write(data)
+
+    def backlog(self) -> int:
+        """Answer bytes not yet on the wire: queued here or in the transport."""
+        return self.queued + self.transport.get_write_buffer_size()
+
+    def admit(self, batcher: AdmissionBatcher, codec, request_id, query) -> None:
+        """Submit one checked query; its answer is encoded when it lands."""
+        future = batcher.submit(query)
+        self.in_flight.add(future)
+        future.add_done_callback(partial(self._answer, codec, request_id))
+
+    def _answer(self, codec, request_id, future: asyncio.Future) -> None:
+        self.in_flight.discard(future)
+        if future.cancelled():
+            return
+        error = future.exception()
+        if error is not None:
+            self.send(codec.error(request_id, str(error)))
+            return
+        result = future.result()
+        last_codec, last_result, encoded = self.last
+        if result is not last_result or codec is not last_codec:
+            # A distinct result's futures resolve consecutively, so its
+            # duplicates reuse this one encoding.
+            encoded = codec.encode(result)
+            self.last = (codec, result, encoded)
+        self.send(codec.result(request_id, encoded))
+
+    async def settle(self) -> None:
+        """Wait until every admitted query's answer is queued."""
+        if self.in_flight:
+            await asyncio.wait(self.in_flight)
+
+
 async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -116,166 +316,65 @@ async def _handle_connection(
     batcher: AdmissionBatcher,
     stop: asyncio.Event,
 ) -> None:
-    async def respond(payload: dict) -> None:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-
-    async def answer(request_id, query_payload) -> None:
-        try:
-            query = decode_query(query_payload)
-            service.check_query(query)
-            result = await batcher.submit(query)
-            await respond(
-                {"id": request_id, "ok": True, "result": encode_result(result)}
-            )
-        except ConnectionError:  # pragma: no cover - client went away
-            pass
-        except Exception as exc:
-            try:
-                await respond(
-                    {"id": request_id, "ok": False, "error": str(exc)}
-                )
-            except ConnectionError:  # pragma: no cover
-                pass
-
-    tasks: set[asyncio.Task] = set()
+    """One connection's read loop, for both framings."""
+    conn = _Connection(writer)
+    codec = CODECS["json"]
+    high_water = conn.transport.get_write_buffer_limits()[1]
     try:
         while True:
-            line = await reader.readline()
-            if not line:
-                break
+            if conn.backlog() > high_water:
+                # The client is not reading: stop admitting its queries
+                # until the transport drains.
+                conn.flush()
+                await writer.drain()
             try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                await respond({"id": None, "ok": False, "error": str(exc)})
-                continue
-            request_id = request.get("id")
-            op = request.get("op")
+                request = await codec.read(reader)
+            except (SpecError, ValueError):  # corrupt stream or overlong line
+                break
+            if request is None:
+                break
+            op, request_id, body = request
             if op == "query":
-                task = asyncio.ensure_future(
-                    answer(request_id, request.get("query", {}))
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                try:
+                    query = codec.decode(body)
+                    service.check_query(query)
+                except Exception as exc:  # the bad request alone fails
+                    conn.send(codec.error(request_id, str(exc)))
+                    continue
+                conn.admit(batcher, codec, request_id, query)
             elif op == "hello":
-                framing = request.get("framing", "json")
-                if framing not in fr.FRAMINGS:
-                    await respond(
-                        {
-                            "id": request_id,
-                            "ok": False,
-                            "error": f"unknown framing {framing!r}; "
+                if body not in fr.FRAMINGS:
+                    conn.send(
+                        codec.error(
+                            request_id,
+                            f"unknown framing {body!r}; "
                             f"known: {list(fr.FRAMINGS)}",
-                        }
+                        )
                     )
                     continue
-                # Acknowledge in JSON, then (for binary) switch the
-                # remainder of this connection to length-prefixed
-                # frames — but only after in-flight JSON answers land.
-                await respond(
-                    {"id": request_id, "ok": True, "framing": framing}
-                )
-                if framing == "binary":
-                    if tasks:
-                        await asyncio.gather(
-                            *tasks, return_exceptions=True
-                        )
-                        tasks.clear()
-                    await _handle_binary(
-                        reader, writer, service, batcher, stop
-                    )
-                    return
+                # In-flight answers first, then the ack, then the switch:
+                # from the byte after the ack both sides speak ``body``.
+                await conn.settle()
+                conn.send(_json_line({"id": request_id, "ok": True, "framing": body}))
+                conn.flush()
+                codec = CODECS[body]
             elif op == "stats":
-                await respond(
-                    {
-                        "id": request_id,
-                        "ok": True,
-                        "stats": _collect_stats(service, batcher),
-                    }
+                conn.send(
+                    codec.stats(request_id, _collect_stats(service, batcher))
                 )
             elif op == "ping":
-                await respond({"id": request_id, "ok": True})
+                conn.send(codec.ok(request_id))
             elif op == "shutdown":
-                await respond({"id": request_id, "ok": True})
+                conn.send(codec.ok(request_id))
                 stop.set()
                 break
             else:
-                await respond(
-                    {
-                        "id": request_id,
-                        "ok": False,
-                        "error": f"unknown op {op!r}",
-                    }
-                )
+                conn.send(codec.error(request_id, body))
+    except ConnectionError:  # pragma: no cover - client went away
+        pass
     finally:
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        writer.close()
-
-
-async def _handle_binary(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    service: QueryService,
-    batcher: AdmissionBatcher,
-    stop: asyncio.Event,
-) -> None:
-    """The post-hello frame loop; mirrors the JSON ops one-to-one."""
-
-    async def send(frame_type: int, request_id: int, body: bytes = b"") -> None:
-        # One write per frame keeps concurrent answers atomic on the wire.
-        writer.write(fr.encode_frame(frame_type, request_id, body))
-        await writer.drain()
-
-    async def answer(request_id: int, body: bytes) -> None:
-        try:
-            query = fr.unpack_query(body)
-            service.check_query(query)
-            result = await batcher.submit(query)
-            await send(fr.T_RESULT, request_id, fr.pack_result(result))
-        except ConnectionError:  # pragma: no cover - client went away
-            pass
-        except Exception as exc:
-            try:
-                await send(fr.T_ERROR, request_id, str(exc).encode())
-            except ConnectionError:  # pragma: no cover
-                pass
-
-    tasks: set[asyncio.Task] = set()
-    try:
-        while True:
-            try:
-                frame = await fr.read_frame_async(reader)
-            except Exception:  # corrupt stream: drop the connection
-                break
-            if frame is None:
-                break
-            frame_type, request_id, body = frame
-            if frame_type == fr.T_QUERY:
-                task = asyncio.ensure_future(answer(request_id, body))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            elif frame_type == fr.T_STATS:
-                await send(
-                    fr.T_STATS_REPLY,
-                    request_id,
-                    json.dumps(_collect_stats(service, batcher)).encode(),
-                )
-            elif frame_type == fr.T_PING:
-                await send(fr.T_OK, request_id)
-            elif frame_type == fr.T_SHUTDOWN:
-                await send(fr.T_OK, request_id)
-                stop.set()
-                break
-            else:
-                await send(
-                    fr.T_ERROR,
-                    request_id,
-                    f"unknown frame type 0x{frame_type:02x}".encode(),
-                )
-    finally:
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await conn.settle()
+        conn.flush()
         writer.close()
 
 

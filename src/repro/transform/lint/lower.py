@@ -44,10 +44,8 @@ from repro.memo import TreeMemo
 from repro.transform.lint.diagnostics import Diagnostic, DiagnosticSink
 from repro.transform.lint.kernel_ir import (
     AFFINE,
-    CONST,
     GATHER,
     MASK,
-    SLICE,
     UNKNOWN,
     KernelIR,
     clear_ir_cache,

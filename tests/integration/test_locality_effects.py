@@ -5,20 +5,11 @@ Sections 2.2, 3.2, and 6.2.  These run at reduced scale so the full
 suite stays fast; the bench harness reruns them at full scale.
 """
 
-import pytest
-
 from repro.bench import bench_hierarchy, make_pc, make_tj, run_case
-from repro.core import (
-    NestedRecursionSpec,
-    ReuseDistanceProbe,
-    run_interchanged,
-    run_original,
-    run_twisted,
-)
+from repro.core import ReuseDistanceProbe, run_original, run_twisted
 from repro.core.schedules import INTERCHANGE, ORIGINAL, TWIST
 from repro.kernels import TreeJoin
 from repro.memory import instruction_overhead, speedup
-from repro.spaces import balanced_tree
 
 
 class TestSection22InterchangeAsymmetry:

@@ -15,7 +15,6 @@ from repro.core import (
     AccessTraceRecorder,
     NestedRecursionSpec,
     WorkRecorder,
-    combine,
     run_original,
     run_twisted,
 )

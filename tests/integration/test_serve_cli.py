@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro.serve import framing as fr
 from repro.serve.client import ServeClient, wait_for_server
 from repro.serve.protocol import (
     CountQuery,
@@ -292,3 +293,93 @@ class TestMalformedQueries:
             )
         assert "reference count" in answers[0]
         assert isinstance(answers[1], NNResult)
+
+
+class TestHelloOrdering:
+    """A hello is acknowledged after the connection's in-flight answers."""
+
+    @pytest.mark.parametrize("framing", ["binary", "json"])
+    def test_in_flight_json_answers_precede_the_ack(self, server, framing):
+        import json as json_module
+
+        points = clustered_points(200, clusters=6, spread=0.07, seed=23)
+        queries = [
+            CountQuery(tuple(float(v) for v in point), 0.3) for point in points
+        ]
+        after = NNQuery(queries[0].point)
+        # One write: 200 JSON queries, the hello, and a query in the
+        # framing the hello selects.
+        payload = b"".join(
+            json_module.dumps(
+                {"id": i + 1, "op": "query", "query": encode_query(query)}
+            ).encode()
+            + b"\n"
+            for i, query in enumerate(queries)
+        )
+        payload += (
+            json_module.dumps({"id": 0, "op": "hello", "framing": framing}).encode()
+            + b"\n"
+        )
+        if framing == "binary":
+            payload += fr.encode_frame(fr.T_QUERY, 500, fr.pack_query(after))
+        else:
+            payload += (
+                json_module.dumps(
+                    {"id": 500, "op": "query", "query": encode_query(after)}
+                ).encode()
+                + b"\n"
+            )
+        with socket.create_connection(("127.0.0.1", server), timeout=30) as sock:
+            sock.sendall(payload)
+            handle = sock.makefile("rb")
+            answered = []
+            while True:
+                message = json_module.loads(handle.readline())
+                if message["id"] == 0:
+                    break
+                assert message["ok"], message
+                answered.append(message["id"])
+            assert message == {"id": 0, "ok": True, "framing": framing}
+            assert sorted(answered) == list(range(1, 201))
+            if framing == "binary":
+                frame_type, request_id, body = fr.read_frame_blocking(handle)
+                assert (frame_type, request_id) == (fr.T_RESULT, 500)
+                assert isinstance(fr.unpack_result(body), NNResult)
+            else:
+                message = json_module.loads(handle.readline())
+                assert message["id"] == 500
+                assert isinstance(decode_result(message["result"]), NNResult)
+
+
+def shm_entries():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - non-Linux hosts
+        return set()
+
+
+class TestProcessDeath:
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs a /dev/shm listing"
+    )
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_sigkill_releases_shared_memory(self, shards):
+        import signal
+        import time
+
+        before = shm_entries()
+        process, port = start_server("--shards", str(shards))
+        try:
+            published = shm_entries() - before
+            assert len(published) >= shards
+            process.send_signal(signal.SIGKILL)
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while published & shm_entries() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not published & shm_entries()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()

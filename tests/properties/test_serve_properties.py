@@ -17,7 +17,6 @@ rebuilding trees per example would only slow the sweep down.
 
 import asyncio
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.serve.batcher import AdmissionBatcher

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    compare_profiles,
-    dominance,
-    reuse_profile,
-    working_set_fraction,
-)
+from repro.analysis import compare_profiles, dominance, working_set_fraction
 from repro.core import NestedRecursionSpec
 from repro.core.schedules import INTERCHANGE, ORIGINAL, TWIST
 from repro.memory.reuse import ReuseDistanceAnalyzer

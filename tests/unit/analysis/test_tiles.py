@@ -7,7 +7,6 @@ from repro.analysis import (
     TileSummary,
     balance_profile,
     rectangle_decomposition,
-    tile_summary,
     window_balance,
 )
 from repro.core import NestedRecursionSpec, WorkRecorder, run_original, run_twisted

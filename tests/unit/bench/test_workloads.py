@@ -1,8 +1,6 @@
 """Unit tests for benchmark workload construction."""
 
-import pytest
-
-from repro.bench import all_cases, make_knn, make_mm, make_pc, make_tj, make_vp
+from repro.bench import all_cases, make_pc, make_tj, make_vp
 from repro.core import run_original
 from repro.memory import AddressMap
 

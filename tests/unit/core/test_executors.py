@@ -10,12 +10,7 @@ from repro.core import (
     combine,
     run_original,
 )
-from repro.spaces import (
-    balanced_tree,
-    list_tree,
-    paper_inner_tree,
-    paper_outer_tree,
-)
+from repro.spaces import list_tree, paper_inner_tree, paper_outer_tree
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Unit tests for recursion interchange (Figure 3 + Section 4 flags)."""
 
-import pytest
-
 from repro.core import (
     NestedRecursionSpec,
     OpCounter,
@@ -9,7 +7,7 @@ from repro.core import (
     run_interchanged,
     run_original,
 )
-from repro.spaces import balanced_tree, paper_inner_tree, paper_outer_tree
+from repro.spaces import paper_inner_tree, paper_outer_tree
 
 
 def paper_spec(**kwargs):

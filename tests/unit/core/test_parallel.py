@@ -10,7 +10,7 @@ from repro.core import (
     spawn_tasks,
     task_spec,
 )
-from repro.core.schedules import ORIGINAL, TWIST
+from repro.core.schedules import TWIST
 from repro.errors import ScheduleError
 from repro.kernels import TreeJoin
 from repro.spaces import balanced_tree, paper_inner_tree, paper_outer_tree

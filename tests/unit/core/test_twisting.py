@@ -1,7 +1,5 @@
 """Unit tests for recursion twisting (Figure 4a)."""
 
-import pytest
-
 from repro.core import (
     NestedRecursionSpec,
     OpCounter,

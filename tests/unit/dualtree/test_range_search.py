@@ -1,6 +1,5 @@
 """Unit tests for the range-search extension rules."""
 
-import numpy as np
 import pytest
 
 from repro.core import run_interchanged, run_original, run_twisted

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dualtree import build_kdtree, build_vptree
 from repro.dualtree.boxes import Ball, HRect
-from repro.spaces import clustered_points, uniform_points
+from repro.spaces import uniform_points
 
 
 @pytest.fixture(params=["kd", "vp"])

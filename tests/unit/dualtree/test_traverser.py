@@ -1,9 +1,8 @@
 """Unit tests for the dual-tree -> nested-recursion lowering."""
 
-import numpy as np
 import pytest
 
-from repro.core import OpCounter, WorkRecorder, run_original
+from repro.core import run_original
 from repro.dualtree import (
     PointCorrelationRules,
     build_kdtree,

@@ -1,6 +1,5 @@
 """Unit tests for three-level matrix-matrix multiplication."""
 
-import numpy as np
 import pytest
 
 from repro.core import run_original_n, run_twisted_n

@@ -1,19 +1,11 @@
 """Unit tests for trace persistence."""
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core import AccessTraceRecorder, NestedRecursionSpec, run_original
 from repro.errors import MemorySimError
-from repro.memory import (
-    ReuseDistanceAnalyzer,
-    Trace,
-    from_tuples,
-    load_trace,
-    save_trace,
-)
+from repro.memory import ReuseDistanceAnalyzer, from_tuples, load_trace, save_trace
 from repro.spaces import balanced_tree
 
 

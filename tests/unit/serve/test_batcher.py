@@ -426,3 +426,65 @@ class TestAdaptiveHold:
     def test_bad_hold_arrivals_rejected(self):
         with pytest.raises(SpecError, match="hold_arrivals"):
             AdmissionBatcher(echo_batch, hold_arrivals=0.0)
+
+
+class TestAdmissionWait:
+    def test_submit_returns_the_result_future(self):
+        async def scenario():
+            batcher = AdmissionBatcher(echo_batch, max_batch=1, max_hold_s=30.0)
+            future = batcher.submit(NNQuery((2.5,)))
+            assert isinstance(future, asyncio.Future)
+            return await future
+
+        assert run(scenario()) == (2.5,)
+
+    def test_a_timer_held_query_records_about_its_hold(self):
+        hold = 0.05
+
+        async def scenario():
+            batcher = AdmissionBatcher(
+                echo_batch, max_batch=100, max_hold_s=hold, adaptive_hold=False
+            )
+            await batcher.submit(NNQuery((1.0,)))
+            await batcher.submit(CountQuery((1.0,), 0.3))
+            return batcher.batcher_stats()["wait_ms"]
+
+        waits = run(scenario())
+        assert sorted(waits) == ["count", "nn"]
+        for wait in waits.values():
+            assert wait["samples"] == 1
+            # A bucket's upper edge, at most 19% above the wait itself.
+            assert 1000 * hold <= wait["p50"] <= 1.5 * 1000 * hold
+            assert wait["p99"] == wait["p50"]
+
+    def test_every_duplicate_records_its_own_wait(self):
+        async def scenario():
+            batcher = AdmissionBatcher(echo_batch, max_batch=100, max_hold_s=0.01)
+            await asyncio.gather(
+                *(batcher.submit(NNQuery((1.0,))) for _ in range(5))
+            )
+            return batcher.batcher_stats()["wait_ms"]["nn"]
+
+        assert run(scenario())["samples"] == 5
+
+    def test_histogram_size_is_fixed(self):
+        import sys
+
+        async def scenario():
+            batcher = AdmissionBatcher(
+                echo_batch, max_batch=512, max_hold_s=0.001
+            )
+            first = batcher.submit(NNQuery((0.0,)))
+            waits = batcher._pending[("nn",)].waits
+            size = (len(waits.counts), sys.getsizeof(waits.counts))
+            futures = [first] + [
+                batcher.submit(NNQuery((float(i % 3000),)))
+                for i in range(1, 10**5)
+            ]
+            await asyncio.gather(*futures)
+            return batcher, waits, size
+
+        batcher, waits, size = run(scenario())
+        assert sum(waits.counts) == 10**5
+        assert (len(waits.counts), sys.getsizeof(waits.counts)) == size
+        assert batcher.batcher_stats()["wait_ms"]["nn"]["samples"] == 10**5

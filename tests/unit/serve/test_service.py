@@ -63,7 +63,7 @@ class TestStartup:
         tree = service.reference_tree
         assert getattr(tree, "_leaf_blocks", None) is not None
         assert getattr(tree, "_bound_arrays", None) is not None
-        assert getattr(tree, "_leaf_bounds", None) is not None
+        assert getattr(tree, "_node_arrays", None) is not None
 
     def test_publication_carries_the_reference_points(self, service):
         arrays = service.publication.arrays()
@@ -188,3 +188,22 @@ class TestLifecycle:
         service.close()
         service.close()
         assert shm_entries() == before
+
+
+class TestGroupChecks:
+    """The tick checks a group at once; a failure raises its query's message."""
+
+    CASES = {
+        "wrong dimension": (NNQuery((0.1, 0.2, 0.3)), "3 coordinates"),
+        "ragged dimensions": (NNQuery((0.1,)), "1 coordinates"),
+        "nan coordinate": (KNNQuery((float("nan"), 0.5), 2), "not finite"),
+        "k above the reference count": (KNNQuery((0.5, 0.5), 10**6), "k <="),
+        "infinite radius": (CountQuery((0.5, 0.5), float("inf")), "radius"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_failing_query_names_itself(self, service, case):
+        bad, message = self.CASES[case]
+        good = NNQuery((0.5, 0.5))
+        with pytest.raises(SpecError, match=message):
+            service.execute_batch([good, bad, good])

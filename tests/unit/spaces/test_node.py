@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SpecError
 from repro.spaces import (
     TreeNode,
-    finalize_tree,
     tree_depth,
     tree_from_nested,
     tree_nodes,

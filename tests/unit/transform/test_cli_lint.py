@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 
 from repro.transform.__main__ import main
 

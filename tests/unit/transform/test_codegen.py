@@ -2,7 +2,6 @@
 
 import ast
 
-import pytest
 
 from repro.transform import (
     analyze_truncation,

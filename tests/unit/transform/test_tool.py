@@ -11,7 +11,6 @@ from repro.transform import (
     role_of,
     transform_annotated_source,
     transform_source,
-    twist_functions,
 )
 
 SOURCE = '''
