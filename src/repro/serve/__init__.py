@@ -3,8 +3,8 @@
 The paper's Section 2 interchange observation — "many concurrent
 queries x one reference tree" is just another nested recursive
 iteration space — becomes an admission policy here: concurrent user
-queries are grouped per tick and answered by one point-level leaf
-frontier sweep (:mod:`repro.dualtree.frontier`) against a reference
+queries are grouped per tick and answered by one per-point tree
+descent (:mod:`repro.dualtree.frontier`) against a reference
 tree that was finalized and published to shared memory exactly once
 at startup.
 

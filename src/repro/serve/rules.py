@@ -1,6 +1,6 @@
 """Serve rule sets: the per-query oracle's dual-tree traversal.
 
-Ticks are answered by point-level leaf frontiers
+Ticks are answered by per-point tree descents
 (:mod:`repro.dualtree.frontier`); these rules are the independent
 reference they are bit-compared against.  ``QueryService.execute_serial``
 runs them over a one-point query tree per query, and they stay correct
