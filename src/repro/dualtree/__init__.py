@@ -15,83 +15,61 @@
 * :mod:`repro.dualtree.frontier` — point-level leaf frontiers: exact
   per-point k-NN and range counts without a query tree (serve ticks);
 * :mod:`repro.dualtree.brute` — brute-force oracles.
+
+Every name in ``__all__`` resolves on first use, importing only the
+module that defines it: a query server that needs the kd-tree, the
+leaf blocks and the frontier never loads the rules, the traverser or
+the benchmark objects (and through them :mod:`repro.core`).
 """
 
-from repro.dualtree.algorithms import (
-    KNearestNeighbors,
-    NearestNeighbor,
-    PointCorrelation,
-    VPNearestNeighbors,
-)
-from repro.dualtree.batch import (
-    BoundArrays,
-    LeafBlocks,
-    block_distances,
-    bound_arrays,
-    build_leaf_blocks,
-    leaf_blocks,
-    min_dists_to_tree,
-    spatial_payload,
-    spatial_soa_view,
-)
-from repro.dualtree.boxes import Ball, HRect, point_dist
-from repro.dualtree.brute import (
-    brute_knn,
-    brute_nearest_neighbor,
-    brute_point_correlation,
-)
-from repro.dualtree.kde import KdeRules, KernelDensity, brute_kde, gaussian_kernel
-from repro.dualtree.kdtree import build_kdtree
-from repro.dualtree.range_search import (
-    RangeSearch,
-    RangeSearchRules,
-    brute_range_search,
-)
-from repro.dualtree.rules import (
-    DualTreeRules,
-    KNearestNeighborRules,
-    NearestNeighborRules,
-    PointCorrelationRules,
-)
-from repro.dualtree.spatial import SpatialNode, SpatialTree
-from repro.dualtree.traverser import dual_tree_footprint, dual_tree_spec
-from repro.dualtree.vptree import build_vptree
+from repro import _lazy_exports
 
-__all__ = [
-    "Ball",
-    "BoundArrays",
-    "DualTreeRules",
-    "HRect",
-    "LeafBlocks",
-    "block_distances",
-    "bound_arrays",
-    "build_leaf_blocks",
-    "leaf_blocks",
-    "min_dists_to_tree",
-    "KNearestNeighborRules",
-    "KNearestNeighbors",
-    "KdeRules",
-    "KernelDensity",
-    "NearestNeighbor",
-    "brute_kde",
-    "gaussian_kernel",
-    "NearestNeighborRules",
-    "PointCorrelation",
-    "PointCorrelationRules",
-    "RangeSearch",
-    "RangeSearchRules",
-    "SpatialNode",
-    "brute_range_search",
-    "SpatialTree",
-    "VPNearestNeighbors",
-    "brute_knn",
-    "brute_nearest_neighbor",
-    "brute_point_correlation",
-    "build_kdtree",
-    "build_vptree",
-    "dual_tree_footprint",
-    "dual_tree_spec",
-    "point_dist",
-    "spatial_payload",
-    "spatial_soa_view",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        "repro.dualtree.algorithms": (
+            "KNearestNeighbors",
+            "NearestNeighbor",
+            "PointCorrelation",
+            "VPNearestNeighbors",
+        ),
+        "repro.dualtree.batch": (
+            "BoundArrays",
+            "LeafBlocks",
+            "block_distances",
+            "bound_arrays",
+            "build_leaf_blocks",
+            "leaf_blocks",
+            "min_dists_to_tree",
+            "spatial_payload",
+            "spatial_soa_view",
+        ),
+        "repro.dualtree.boxes": ("Ball", "HRect", "point_dist"),
+        "repro.dualtree.brute": (
+            "brute_knn",
+            "brute_nearest_neighbor",
+            "brute_point_correlation",
+        ),
+        "repro.dualtree.kde": (
+            "KdeRules",
+            "KernelDensity",
+            "brute_kde",
+            "gaussian_kernel",
+        ),
+        "repro.dualtree.kdtree": ("build_kdtree",),
+        "repro.dualtree.range_search": (
+            "RangeSearch",
+            "RangeSearchRules",
+            "brute_range_search",
+        ),
+        "repro.dualtree.rules": (
+            "DualTreeRules",
+            "KNearestNeighborRules",
+            "NearestNeighborRules",
+            "PointCorrelationRules",
+        ),
+        "repro.dualtree.spatial": ("SpatialNode", "SpatialTree"),
+        "repro.dualtree.traverser": ("dual_tree_footprint", "dual_tree_spec"),
+        "repro.dualtree.vptree": ("build_vptree",),
+    },
+)

@@ -53,23 +53,19 @@ class LeafBlocks:
 
 
 def build_leaf_blocks(tree: SpatialTree) -> LeafBlocks:
-    """Stage a tree's leaves into padded arrays."""
+    """Stage a tree's leaves into padded arrays, one gather per array."""
     leaves = tree.leaves()
-    capacity = max((leaf.count for leaf in leaves), default=1)
+    starts = np.array([leaf.start for leaf in leaves], dtype=np.intp)
+    counts = np.array([leaf.count for leaf in leaves], dtype=np.intp)
+    capacity = int(counts.max(initial=1))
     dim = int(tree.points.shape[1])
     points = np.zeros((len(leaves), capacity, dim), dtype=tree.points.dtype)
     ids = np.full((len(leaves), capacity), -1, dtype=np.int64)
-    valid = np.zeros((len(leaves), capacity), dtype=bool)
-    counts = np.zeros(len(leaves), dtype=np.intp)
-    row_of: dict[int, int] = {}
-    for row, leaf in enumerate(leaves):
-        owned = tree.indices[leaf.start : leaf.end]
-        count = len(owned)
-        points[row, :count] = tree.points[owned]
-        ids[row, :count] = owned
-        valid[row, :count] = True
-        counts[row] = count
-        row_of[leaf.number] = row
+    valid = np.arange(capacity) < counts[:, None]
+    owned = tree.indices[(starts[:, None] + np.arange(capacity))[valid]]
+    ids[valid] = owned
+    points[valid] = tree.points[owned]
+    row_of = {leaf.number: row for row, leaf in enumerate(leaves)}
     return LeafBlocks(
         points=points, ids=ids, valid=valid, counts=counts, row_of=row_of
     )

@@ -11,9 +11,10 @@ Both tree builders follow the same conventions:
 * points are never copied — nodes store index slices into one permuted
   index array;
 * leaves own at most ``leaf_size`` points;
-* ``finalize_tree`` runs on the root, so sizes (node counts, the
-  quantity recursion twisting compares) and pre-order numbers (the
-  Section 4.3 counters' requirement) are always available.
+* every node carries its size (node count, the quantity recursion
+  twisting compares) and pre-order number (the Section 4.3 counters'
+  requirement), the values ``finalize_tree`` assigns; the vp-tree runs
+  it on the root, the kd-tree build computes them level by level.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Wire protocol (one JSON object per line, newline-terminated)::
 
     -> {"id": 1, "op": "query", "query": {"kind": "nn", "point": [..]}}
     <- {"id": 1, "ok": true, "result": {"kind": "nn", ...}}
-    -> {"id": 2, "op": "stats"}      # service + batcher counters
+    -> {"id": 2, "op": "stats"}      # service, batcher, collector counters
     -> {"id": 3, "op": "ping"}       # liveness
     -> {"id": 4, "op": "shutdown"}   # drain and exit
 
@@ -37,12 +37,21 @@ flight.
 in-flight answers: they are written first, then the JSON ack, and only
 then does the loop switch framing, so from the byte after the ack both
 sides exchange frames.
+
+**Start-up.**  The server imports only the tick path (the package
+re-exports resolve on first use, and the serial oracle's modules load
+with the oracle), builds and stages the reference tree, then calls
+``gc.freeze()``: the resident objects leave the collector's
+generations, so a full collection during a tick does not walk them.
+``stats`` reports the frozen object count and each generation's
+collections under ``gc``.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import json
 import sys
 from functools import partial
@@ -131,6 +140,10 @@ def _load_references(args: argparse.Namespace) -> np.ndarray:
 def _collect_stats(service: QueryService, batcher: AdmissionBatcher) -> dict:
     stats = dict(service.service_stats())
     stats["batcher"] = batcher.batcher_stats()
+    stats["gc"] = {
+        "frozen": gc.get_freeze_count(),
+        "collections": [generation["collections"] for generation in gc.get_stats()],
+    }
     return stats
 
 
@@ -395,6 +408,10 @@ async def serve(args: argparse.Namespace) -> int:
         dedup=not args.no_dedup,
         adaptive_hold=not args.static_hold,
     )
+    # Everything built so far (the tree, its staged arrays, the loaded
+    # modules) lives as long as the server: freeze it, so that a full
+    # collection during a tick walks only what ticks allocate.
+    gc.freeze()
     stop = asyncio.Event()
 
     async def handler(reader, writer):

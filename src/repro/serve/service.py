@@ -25,19 +25,17 @@ independent of the frontier.
 
 from __future__ import annotations
 
+import gc
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.core.schedules import ORIGINAL
 from repro.dualtree.batch import bound_arrays, leaf_blocks
 from repro.dualtree.frontier import count_frontier, knn_frontier, node_arrays
 from repro.dualtree.kdtree import build_kdtree
 from repro.dualtree.spatial import SpatialTree
-from repro.dualtree.traverser import dual_tree_spec
 from repro.errors import SpecError
 from repro.serve.protocol import (
     CountQuery,
@@ -49,7 +47,6 @@ from repro.serve.protocol import (
     Result,
     group_key,
 )
-from repro.serve.rules import ServeCountRules, ServeKnnRules
 from repro.serve.shards import (
     ReferenceShard,
     gather_columns,
@@ -60,6 +57,9 @@ from repro.spaces.soa import (
     SharedPublication,
     attach_shared_arrays_cached,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Query kinds the service answers.
 KINDS = ("nn", "knn", "count")
@@ -120,8 +120,14 @@ def _oracle_group(
     """The serial oracle's columns for one query point.
 
     One dual-tree traversal of a one-point query tree under the serve
-    rules, on whatever backend ``auto`` picks for it.
+    rules, on whatever backend ``auto`` picks for it.  Its modules (the
+    executors, the traverser, the serve rules) load on the first oracle
+    call: ticks never need them, so a server never imports them.
     """
+    from repro.core.schedules import ORIGINAL
+    from repro.dualtree.traverser import dual_tree_spec
+    from repro.serve.rules import ServeCountRules, ServeKnnRules
+
     query_tree = build_kdtree(np.array([point], dtype=float), 1)
     if kind == "count":
         rules = ServeCountRules(query_tree, reference_tree, param)
@@ -158,7 +164,8 @@ def _worker_run_group(
     The kd-tree build is deterministic (median splits via
     ``argpartition`` over the attached points), so every worker holds
     the same tree as the parent's shard; it is rebuilt once per worker
-    and reused across ticks.
+    and reused across ticks.  Like the server, the worker then freezes
+    what it holds, so full collections skip the resident tree.
     """
     arrays = attach_shared_arrays_cached(handles)
     key = tuple(sorted(h.shm_name for h in handles)) + (ref_leaf_size,)
@@ -166,6 +173,7 @@ def _worker_run_group(
     if tree is None:
         tree = build_kdtree(arrays["references"], ref_leaf_size)
         _WORKER_TREES[key] = tree
+        gc.freeze()
     return _run_group(tree, kind, param, points)
 
 
@@ -442,6 +450,8 @@ class QueryService:
         if self.publication.closed:
             raise SpecError("query service is closed")
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(
                 max_workers=max(1, self.config.workers)
             )

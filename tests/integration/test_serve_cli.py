@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro.dualtree.kdtree import build_kdtree
 from repro.serve import framing as fr
 from repro.serve.client import ServeClient, wait_for_server
 from repro.serve.protocol import (
@@ -127,6 +128,18 @@ class TestServerRoundTrip:
             stats = client.stats()
         assert stats["references"] == REFERENCES
         assert "batcher" in stats
+
+    def test_the_resident_tree_is_frozen_at_start(self, server):
+        # serve() calls gc.freeze() once the service is staged, so the
+        # collector's permanent generation holds at least every node of
+        # the reference tree.
+        with ServeClient("127.0.0.1", server) as client:
+            collector = client.stats()["gc"]
+        references = clustered_points(
+            REFERENCES, clusters=24, spread=0.05, seed=SEED
+        )
+        assert collector["frozen"] > build_kdtree(references).num_nodes
+        assert len(collector["collections"]) == 3
 
     def test_pipelined_mixed_queries_match_the_oracle(self, server, oracle):
         queries = sample_queries()
