@@ -8,7 +8,7 @@
 * :mod:`repro.bench.reporting` — ASCII experiment tables;
 * :mod:`repro.bench.experiments` — one driver per paper figure/table;
 * :mod:`repro.bench.wallclock` — real-time backend comparison across
-  recursive/batched/soa/auto (emits ``BENCH_soa.json``);
+  recursive/soa/compiled/auto (emits ``BENCH_soa.json``);
 * :mod:`repro.bench.perf_floor` — the CI gate holding ``auto`` to
   within 10% of the best single backend.
 """

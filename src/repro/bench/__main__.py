@@ -285,6 +285,8 @@ _ARGS_AWARE = ("wallclock", "parallel", "serve", "trajectory")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench.wallclock import SINGLE_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Run one paper experiment and print its table.",
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         action="append",
         metavar="NAME",
-        choices=("recursive", "batched", "soa", "compiled", "auto"),
+        choices=SINGLE_BACKENDS + ("auto",),
         help="only this backend (repeatable)",
     )
     wallclock.add_argument(

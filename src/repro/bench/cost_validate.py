@@ -42,10 +42,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.core.backend_select import SINGLE_BACKENDS
+
 #: Predicted backend's time may lag the row's best by this factor and
 #: still count as directionally correct.  Calibrated against the
-#: checked-in payloads: the worst honest near-miss (PC/original, where
-#: soa and batched trade places run to run) sits at 1.41x.
+#: checked-in payloads: the worst honest near-miss was PC/original at
+#: 1.41x while the selector still picked the deleted linked-node
+#: engine there; with soa predicted for PC it is PC/twist at 1.19x
+#: (soa against that engine's time in BENCH_soa.json).
 DIRECTION_FACTOR = 1.5
 
 #: Maximum tolerated fraction of mispredicted rows.
@@ -60,12 +64,13 @@ DEFAULT_PAYLOADS = (
 )
 
 #: Fallback chain mapping a predicted backend into a sweep that did
-#: not time it: each backend degrades to the one it is built on.
+#: not time it: each backend degrades to the one it is built on
+#: (compiled replays soa's emission order; soa is event-identical to
+#: the recursive reference).
+_DEGRADE_ORDER = ("compiled",) + SINGLE_BACKENDS[::-1]
 _FALLBACK_CHAIN = {
-    "compiled": ("compiled", "soa", "batched", "recursive"),
-    "soa": ("soa", "batched", "recursive"),
-    "batched": ("batched", "recursive"),
-    "recursive": ("recursive",),
+    backend: _DEGRADE_ORDER[index:]
+    for index, backend in enumerate(_DEGRADE_ORDER)
 }
 
 

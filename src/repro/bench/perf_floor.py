@@ -44,11 +44,10 @@ import json
 import os
 from typing import Sequence
 
+from repro.bench.wallclock import SINGLE_BACKENDS
+
 #: Default floor: auto must reach 90% of the best single backend.
 DEFAULT_FLOOR = 0.9
-
-#: Backends eligible as "best single" references.
-SINGLE_BACKENDS = ("recursive", "batched", "soa", "compiled")
 
 #: Required compiled-over-soa speedup on the lowerable regular
 #: benchmarks.  The compiled backend replaces the interpreted

@@ -19,16 +19,17 @@ import os
 from dataclasses import dataclass, field
 
 from repro.bench.workloads import wallclock_cases
+from repro.core.backend_select import SINGLE_BACKENDS
 from repro.core.sanitize import SanitizeDivergence, run_sanitized
 
 #: Schedules swept by default: the untransformed baseline and the
 #: paper's headline transformation.
 DEFAULT_SCHEDULES = ("original", "twist")
 
-#: Backends shadow-checked against ``recursive``.  The two vectorized
-#: families are forced explicitly — at smoke scales ``auto`` would
+#: Backends shadow-checked against ``recursive``: every other ungated
+#: family, forced explicitly — at smoke scales ``auto`` would
 #: legitimately pick ``recursive`` and the check would be vacuous.
-DEFAULT_BACKENDS = ("batched", "soa")
+DEFAULT_BACKENDS = tuple(b for b in SINGLE_BACKENDS if b != "recursive")
 
 DEFAULT_JSON_PATH = "SANITIZE.json"
 

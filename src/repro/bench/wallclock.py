@@ -3,9 +3,9 @@
 The simulated-machine experiments measure *locality*; this module
 measures *real time*: for each benchmark (the Section 6.1 six plus
 KDE) and schedule it runs the same spec through every backend —
-``recursive`` (the paper-faithful executors), ``batched``
-(:mod:`repro.core.batched`), ``soa`` (:mod:`repro.core.soa_exec`,
-optionally swept across its storage linearizations), ``compiled``
+``recursive`` (the paper-faithful executors), ``soa``
+(:mod:`repro.core.soa_exec`, optionally swept across its storage
+linearizations), ``compiled``
 (:mod:`repro.core.compiled` — refusals on non-``lowerable`` specs are
 recorded as null timings with the refusal reason under ``refused``),
 and ``auto`` (:mod:`repro.core.backend_select`) — timing each with
@@ -21,19 +21,18 @@ rendered table.  Its schema::
       "experiment": "wallclock_backends",
       "scale": 1.0,              # workload scale factor
       "repeats": 3,              # best-of-N timing
-      "backends": ["recursive", "batched", "soa", "auto"],
+      "backends": ["recursive", "soa", "auto"],
       "results": [
         {
           "benchmark": "TJ",
           "schedule": "original",
           "timings": {             # best-of-N wall-clock seconds
             "recursive": 0.65,
-            "batched": 0.12,
             "soa": 0.08,
             "auto": 0.08
           },
           "speedups": {            # recursive_s / backend_s
-            "batched": 5.4, "soa": 8.1, "auto": 8.1
+            "soa": 8.1, "auto": 8.1
           },
           "soa_orders": {          # soa timed per linearization
             "preorder": 0.08, "bfs": 0.09, "veb": 0.08
@@ -65,6 +64,7 @@ from typing import Optional, Sequence
 
 from repro.bench.reporting import ExperimentReport
 from repro.bench.workloads import BenchmarkCase, wallclock_cases
+from repro.core import backend_select
 from repro.core.backend_select import choose_backend
 from repro.core.schedules import Schedule, get_schedule
 from repro.errors import ScheduleError
@@ -74,13 +74,13 @@ from repro.spaces.soa import LINEARIZATIONS
 #: paper's headline transformation.
 DEFAULT_SCHEDULES = ("original", "twist")
 
-#: Backends timed by default (single backends first, then the selector).
-DEFAULT_BACKENDS = ("recursive", "batched", "soa", "auto")
+#: Backends timed by default (the ungated families, then the selector).
+DEFAULT_BACKENDS = backend_select.SINGLE_BACKENDS + ("auto",)
 
 #: Backends eligible as "best single" references.  ``compiled`` only
 #: counts on the benchmarks it accepts (it refuses specs without a
 #: TW20x ``lowerable`` verdict; refused entries time as null).
-SINGLE_BACKENDS = ("recursive", "batched", "soa", "compiled")
+SINGLE_BACKENDS = backend_select.SINGLE_BACKENDS + ("compiled",)
 
 
 def _host_info() -> dict:

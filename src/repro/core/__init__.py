@@ -12,13 +12,13 @@
 * :mod:`repro.core.instruments` — probes for ops, accesses, and work;
 * :mod:`repro.core.soundness` — dependence-order verification and the
   Section 3.3 outer-parallel criterion;
-* :mod:`repro.core.batched` — frontier-batched explicit-stack
-  executors dispatching vectorized leaf-work blocks, bit-identical to
-  the recursive executors (and the route for spaces too deep to
-  recurse);
-* :mod:`repro.core.soa_exec` — index-based executors over packed
-  structure-of-arrays tree views (:mod:`repro.spaces.soa`), with an
-  inline dispatch mode for stateful-truncation specs;
+* :mod:`repro.core.soa_exec` — explicit-stack executors over packed
+  structure-of-arrays tree views (:mod:`repro.spaces.soa`) for every
+  schedule, bit-identical to the recursive executors (and the route
+  for spaces too deep to recurse), with an inline dispatch mode for
+  stateful-truncation specs;
+* :mod:`repro.core.batched` — the node-block work dispatcher the SoA
+  executors use for specs without a SoA-native kernel;
 * :mod:`repro.core.backend_select` — the ``backend="auto"``
   calibration probe and decision table;
 * :mod:`repro.core.schedules` — the named schedule registry used by
@@ -31,13 +31,7 @@ from repro.core.backend_select import (
     probe_features,
     resolve_backend,
 )
-from repro.core.batched import (
-    DEFAULT_BATCH_SIZE,
-    BatchDispatcher,
-    run_interchanged_batched,
-    run_original_batched,
-    run_twisted_batched,
-)
+from repro.core.batched import DEFAULT_BATCH_SIZE, BatchDispatcher
 from repro.core.cutoff import (
     auto_cutoff_schedule,
     cutoff_for_machine,
@@ -190,14 +184,11 @@ __all__ = [
     "recursion_guard",
     "required_limit",
     "run_interchanged",
-    "run_interchanged_batched",
     "run_interchanged_soa",
     "run_original",
-    "run_original_batched",
     "run_original_n",
     "run_original_soa",
     "run_parallel",
-    "run_twisted_batched",
     "run_twisted_soa",
     "run_task_parallel",
     "run_twisted_n",

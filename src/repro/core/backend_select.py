@@ -1,17 +1,17 @@
 """Automatic backend selection (``backend="auto"``).
 
-Five executor families realize every schedule.  Three run any spec —
-recursive (faithful, lowest constant overhead), batched
-(:mod:`repro.core.batched`) and SoA (:mod:`repro.core.soa_exec`) — and
+Four executor families realize every schedule.  Two run any spec —
+recursive (faithful, lowest constant overhead) and SoA
+(:mod:`repro.core.soa_exec`, explicit stacks over packed views) — and
 two need a proof: compiled (:mod:`repro.core.compiled`, a TW20x
 ``lowerable`` verdict) and parallel (:mod:`repro.core.parallel_exec`,
 a parallel plan with proven outer independence).  No single one wins
-everywhere: the batched engine's barrier flushes *regress* the
-pruning-heavy guided traversals (NN/KNN/VP) while winning big on
-work-dense schedules, and the SoA engine's packed-view setup is wasted
-on tiny spaces.  ``backend="auto"`` runs the cheap calibration probe
-below once per (spec, schedule) and picks a backend from structural
-features, so callers get near-best wall clock without sweeping.
+everywhere: the SoA engine's packed-view setup is wasted on tiny
+spaces, the fused compiled loop needs a certified kernel, and the
+worker pool only pays off past a million points.
+``backend="auto"`` runs the cheap calibration probe below once per
+(spec, schedule) and picks a backend from structural features, so
+callers get near-best wall clock without sweeping.
 
 The probe is deliberately *read-only*: it never calls ``work`` and
 never calls a truncation predicate unless the spec itself declares
@@ -40,7 +40,7 @@ from repro.memo import TreeMemo
 #: The ungated executor families: they run every spec, with no proof
 #: or parallel plan needed.  ``choose_backend`` may also return the
 #: gated ``compiled`` and ``parallel`` backends.
-SINGLE_BACKENDS = ("recursive", "batched", "soa")
+SINGLE_BACKENDS = ("recursive", "soa")
 
 #: Every backend name :func:`resolve_backend` accepts besides ``auto``.
 KNOWN_BACKENDS = SINGLE_BACKENDS + ("compiled", "parallel")
@@ -186,12 +186,11 @@ def _refuse_unproven(
     full TW1xx code list.  A ``needs-dynamic-check`` verdict stays
     selectable (the holes are warnings, dischargeable via
     ``backend="sanitize"``); an ``unsafe`` verdict means a kernel
-    *refutes* scalar equivalence, so the selector swaps to the other
-    vectorized backend when that one is proven safe, else to the
-    reference executors.  Either downgrade records the analyzer's
-    *full* diagnostic code list as evidence — citing only the
-    triggering verdict used to hide the sibling findings a caller would
-    need to discharge the refusal.  An analyzer crash proves nothing,
+    *refutes* scalar equivalence, so the selector falls back to the
+    reference executors.  The downgrade records the analyzer's *full*
+    diagnostic code list as evidence — citing only the triggering
+    verdict used to hide the sibling findings a caller would need to
+    discharge the refusal.  An analyzer crash proves nothing,
     so it refuses too: the reference executors run, the error lands in
     ``features["conformance_error"]``, and a :class:`RuntimeWarning`
     is issued once per process.
@@ -228,25 +227,6 @@ def _refuse_unproven(
     verdict_key = "soa" if choice.backend == "compiled" else choice.backend
     if verdicts.get(verdict_key) != "unsafe":
         return choice
-    evidence = tuple(sorted(report.codes()))
-    alternate = "soa" if verdict_key == "batched" else "batched"
-    if verdicts.get(alternate) == "safe":
-        # The order recommendation is evidence about the *spec* (its
-        # work_batch_soa gathers favour veb blocking), not about the
-        # refused backend, so the downgrade carries it instead of
-        # silently resetting to preorder.
-        return _with_evidence(
-            BackendChoice(
-                alternate,
-                f"conformance: {choice.backend!r} verdict is unsafe; "
-                f"{alternate!r} is proven safe (structural pick was: "
-                f"{choice.reason})",
-                choice.features,
-                order=choice.order,
-                evidence=choice.evidence,
-            ),
-            evidence,
-        )
     return _with_evidence(
         BackendChoice(
             "recursive",
@@ -257,7 +237,7 @@ def _refuse_unproven(
             order=choice.order,
             evidence=choice.evidence,
         ),
-        evidence,
+        tuple(sorted(report.codes())),
     )
 
 
@@ -331,7 +311,7 @@ def choose_backend(
     features: Optional[dict] = None,
     allow_unproven: bool = False,
 ) -> BackendChoice:
-    """Pick recursive/batched/soa/compiled for one spec, probe-once.
+    """Pick recursive/soa/compiled/parallel for one spec, probe-once.
 
     The structural decision is memoized per (finalized tree pair,
     kernel family, schedule): repeated selections against a resident
@@ -374,7 +354,7 @@ def _choose_backend_uncached(
     features: Optional[dict] = None,
     allow_unproven: bool = False,
 ) -> BackendChoice:
-    """Pick recursive/batched/soa/compiled for one spec.
+    """Pick recursive/soa/compiled/parallel for one spec.
 
     ``schedule_name`` is *recorded* as evidence (``features["schedule"]``)
     but does not change the decision: the BENCH_soa.json calibration
@@ -417,10 +397,11 @@ def _choose_backend_uncached(
        (PC and NN).  Parallelism is *refused* — never silently
        selected — when independence is unproven.
     4. **Stateful truncation -> soa.**  When ``truncateInner2?``
-       observes ``work`` (NN/KNN/VP bounds, KDE), the batched engine's
-       per-outer barriers shred its blocks (NN regressed to 0.35x);
-       the SoA engine executes work inline over packed index space and
-       keeps the explicit-stack savings.
+       observes ``work`` (NN/KNN/VP bounds, KDE), deferred blocks would
+       need a barrier flush before every check (a node-block engine
+       that did so ran NN at 0.35x); the SoA engine executes work
+       inline over packed index space and keeps the explicit-stack
+       savings.
     5. **SoA-native work -> soa, in veb order.**  A spec carrying
        ``work_batch_soa`` dispatches integer position blocks —
        strictly less per-pair Python than the node-object dispatcher on
@@ -428,12 +409,17 @@ def _choose_backend_uncached(
        blocked layout beats the default (BENCH_soa.json, TJ original:
        0.067s veb vs 0.079s preorder), so the choice recommends
        ``order="veb"``.
-    6. **Everything else -> batched.**  Stateless irregular specs (PC)
-       and plain ``work_batch`` specs ride the node-block engine.
-       BENCH_soa.json splits PC by schedule — batched wins twist (1.60s
-       vs 1.91s soa), soa wins original (0.49s vs 0.69s) — and the
-       table is schedule-independent, so it keeps the paper's headline
-       (twist) winner.
+    6. **Everything else -> soa, in preorder.**  Stateless specs
+       without SoA-native work (PC, plain ``work_batch`` specs) run the
+       SoA engine's node-block mode: deferred node pairs through
+       ``work_batch``.  BENCH_soa.json has soa winning PC original
+       (0.49s vs 0.69s for the linked-node engine this table used to
+       pick).  Its PC-twist row (1.91s vs 1.60s) predates the rank
+       lists ``soa_exec._emit_pruned_subtree`` now takes from its
+       caller; with them, on perfbench's PC inputs (8 192 points,
+       r = 0.35, leaf 8; 2-vCPU VM, median of 3 warm runs, 3
+       alternating rounds) soa took 1.46/1.70/1.42s against that
+       engine's 1.59/1.55/1.53s (EXPERIMENTS.md).
     """
     if features is None:
         features = probe_features(spec)
@@ -504,9 +490,9 @@ def _choose_backend_uncached(
         )
     else:
         choice = BackendChoice(
-            "batched",
+            "soa",
             "stateless spec without SoA-native work: node-block dispatch "
-            "through work_batch",
+            "through work_batch over packed index space",
             features,
         )
     choice = _with_evidence(choice, prior)

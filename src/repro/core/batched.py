@@ -1,45 +1,35 @@
-"""Frontier-batched explicit-stack executors with vectorized leaf kernels.
+"""Node-block work dispatch for the SoA executors' ``nodes`` mode.
 
 The recursive executors (:mod:`repro.core.executors`,
 :mod:`repro.core.interchange`, :mod:`repro.core.twisting`) execute one
-Python ``work(o, i)`` call per iteration, so wall-clock time is
-dominated by interpreter overhead rather than by the locality effects
-the paper is about.  This module provides drop-in batched counterparts
-— ``run_original_batched``, ``run_interchanged_batched``,
-``run_twisted_batched`` — that traverse with explicit stacks (no
-recursion limit) and *defer* work into blocks dispatched through the
-spec's vectorized ``work_batch`` (one NumPy call per block), the same
+Python ``work(o, i)`` call per iteration.  The explicit-stack SoA
+executors (:mod:`repro.core.soa_exec`) instead *defer* work into
+blocks; a spec without a SoA-native ``work_batch_soa`` kernel (PC,
+plain ``work_batch`` specs, parallel single-node-view tasks) has its
+deferred node pairs collected here and dispatched through the spec's
+vectorized ``work_batch`` (one NumPy call per block), the same
 traversal/base-case split production dual-tree frameworks use
 (Curtin et al., PAPERS.md).
 
-Exactness contract
-------------------
+Dispatch contract
+-----------------
 
-* **Instrumentation is bit-identical.**  All instrument events (ops,
-  accesses, work points) are emitted inline during the traversal, in
-  exactly the order the recursive executors emit them; only the user's
-  ``work`` calls are deferred.  The parity suite in
-  ``tests/unit/core/test_batched.py`` and
-  ``tests/property/test_batched_parity.py`` asserts event-for-event
-  equality.
 * **Work order is preserved.**  Deferred pairs are dispatched in the
   order they were reached; ``work_batch`` must be semantically
   equivalent to calling ``work`` on each pair in that order.
 * **Stateful truncation stays correct.**  When
-  ``spec.truncation_observes_work`` is set (dual-tree NN/KNN bounds,
-  KDE's side-effecting ``Score``), the dispatcher flushes all pending
-  work *before* any ``truncateInner2?`` evaluation whose outer node
-  has deferred pairs, so no truncation decision can ever observe stale
-  state.  The contract is per-outer-node: a truncation check for outer
-  node ``o`` may observe the effects of work points whose outer node
-  is ``o`` (the dual-tree situation — all rule state is per-query
-  leaf); cross-outer effects would require flushing on every check and
-  are not supported.
+  ``spec.truncation_observes_work`` is set, :meth:`BatchDispatcher.barrier`
+  flushes all pending work *before* any ``truncateInner2?`` evaluation
+  whose outer node has deferred pairs, so no truncation decision can
+  ever observe stale state.  The contract is per-outer-node: a
+  truncation check for outer node ``o`` may observe the effects of
+  work points whose outer node is ``o`` (the dual-tree situation — all
+  rule state is per-query leaf); cross-outer effects would require
+  flushing on every check and are not supported.
 
-When the run is uninstrumented *and* the spec never truncates (TJ,
-MM), the executors switch to a bulk mode where each inner traversal
-collapses into two C-speed list extends over precomputed pre-order
-sequences — this is where the headline wall-clock speedups come from.
+The backend-conformance analyzer's ``batched`` verdict
+(:mod:`repro.transform.lint.backend`) judges exactly this dispatch:
+the ``work_batch`` kernel against the scalar ``work``.
 """
 
 from __future__ import annotations
@@ -47,8 +37,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.instruments import NULL_INSTRUMENT, Instrument
-from repro.core.spec import INNER_TREE, OUTER_TREE, NestedRecursionSpec, _never
-from repro.core.truncation import make_policy
+from repro.core.spec import NestedRecursionSpec, _never
 from repro.spaces.node import IndexNode
 
 #: Pending pairs are dispatched whenever at least this many accumulate.
@@ -68,7 +57,6 @@ class BatchDispatcher:
         "work",
         "work_batch",
         "batch_size",
-        "enabled",
         "track_outers",
         "_outer_pending",
         "_os",
@@ -81,8 +69,9 @@ class BatchDispatcher:
         self.work = spec.work
         self.work_batch = spec.work_batch
         self.batch_size = batch_size
-        self.enabled = spec.work is not None or spec.work_batch is not None
-        self.track_outers = self.enabled and spec.truncation_observes_work
+        self.track_outers = spec.truncation_observes_work and (
+            spec.work is not None or spec.work_batch is not None
+        )
         self._outer_pending: set[IndexNode] = set()
         self._os: list[IndexNode] = []
         self._is: list[IndexNode] = []
@@ -138,23 +127,6 @@ class BatchDispatcher:
         del is_[:]
 
 
-def _bulk_eligible(spec: NestedRecursionSpec, ins: Instrument) -> bool:
-    """May the run skip per-point bookkeeping entirely?
-
-    True when nothing can observe the per-point pacing: no instrument
-    is attached, no truncation predicate can fire (the spec's
-    predicates are the shared never-truncate defaults), and there is
-    work to dispatch.
-    """
-    return (
-        ins is NULL_INSTRUMENT
-        and spec.truncate_inner2 is None
-        and spec.truncate_inner1 is _never
-        and spec.truncate_outer is _never
-        and (spec.work is not None or spec.work_batch is not None)
-    )
-
-
 def _block_truncation(
     spec: NestedRecursionSpec, instrumented: bool
 ) -> Optional[object]:
@@ -182,13 +154,16 @@ def _block_truncation(
 def engaged_kernels(
     spec: NestedRecursionSpec, instrument: Optional[Instrument] = None
 ) -> dict[str, bool]:
-    """Which vectorized fast paths a batched run would actually engage.
+    """Which vectorized fast paths an explicit-stack run would engage.
 
     The sanitize backend (:mod:`repro.core.sanitize`) uses this to
     report *what* was exercised: an instrumented lockstep phase never
     engages ``bulk`` or ``block_truncation``, so a separate
     uninstrumented phase is needed to cover them.
     """
+    # soa_exec imports this module, so its bulk test is imported here.
+    from repro.core.soa_exec import _bulk_eligible
+
     ins = NULL_INSTRUMENT if instrument is None else instrument
     return {
         "work_batch": spec.work_batch is not None,
@@ -209,403 +184,3 @@ def _as_prune_list(decisions: object) -> Optional[list]:
     if hasattr(decisions, "tolist"):
         return decisions.tolist()
     return list(decisions)
-
-
-def _preorder_index(root: IndexNode) -> tuple[list[IndexNode], dict[IndexNode, int]]:
-    """Pre-order node list plus node -> position lookup.
-
-    A node's subtree occupies the contiguous slice
-    ``[position, position + node.size)`` of the list, which is what
-    lets the bulk mode turn whole subtree traversals into slices.
-    """
-    nodes = list(root.iter_preorder())
-    positions = {node: index for index, node in enumerate(nodes)}
-    return nodes, positions
-
-
-def run_original_batched(
-    spec: NestedRecursionSpec,
-    instrument: Optional[Instrument] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> None:
-    """Batched counterpart of :func:`repro.core.executors.run_original`."""
-    ins = instrument or NULL_INSTRUMENT
-    instrumented = ins is not NULL_INSTRUMENT
-    truncate_outer = spec.truncate_outer
-    truncate_inner1 = spec.truncate_inner1
-    truncate_inner2 = spec.truncate_inner2
-    ins_op = ins.op
-    ins_access = ins.access
-    ins_work = ins.work
-    dispatcher = BatchDispatcher(spec, batch_size)
-    add = dispatcher.add
-    needs_barrier = (
-        dispatcher.track_outers and truncate_inner2 is not None
-    )
-    barrier = dispatcher.barrier
-    bulk = _bulk_eligible(spec, ins)
-    inner_root = spec.inner_root
-    inner_pre = list(inner_root.iter_preorder()) if bulk else None
-    add_many = dispatcher.add_many
-    block_t2 = _block_truncation(spec, instrumented)
-    pending_os, pending_is = dispatcher._os, dispatcher._is
-    flush = dispatcher.flush
-
-    spec.reset_truncation_state()
-    outer_stack = [spec.outer_root]
-    while outer_stack:
-        o = outer_stack.pop()
-        if instrumented:
-            ins_op("call")
-            ins_op("trunc_check")
-        if truncate_outer(o):
-            continue
-        if bulk:
-            add_many([o] * len(inner_pre), inner_pre)
-        elif (
-            block_t2 is not None
-            and (prune := _as_prune_list(block_t2(o))) is not None
-        ):
-            # Pre-evaluated truncation: the traversal consults a plain
-            # list instead of calling the predicate per pair, and
-            # appends pairs directly into the dispatcher's pending
-            # lists.  Work order and the executed pair set are exactly
-            # those of the generic loop below.
-            if prune is not True:
-                inner_stack = [inner_root]
-                append_o = pending_os.append
-                append_i = pending_is.append
-                if prune is False:
-                    while inner_stack:
-                        i = inner_stack.pop()
-                        append_o(o)
-                        append_i(i)
-                        if i.children:
-                            inner_stack.extend(reversed(i.children))
-                else:
-                    while inner_stack:
-                        i = inner_stack.pop()
-                        if prune[i.number]:
-                            continue
-                        append_o(o)
-                        append_i(i)
-                        if i.children:
-                            inner_stack.extend(reversed(i.children))
-                if len(pending_os) >= batch_size:
-                    flush()
-        else:
-            inner_stack = [inner_root]
-            while inner_stack:
-                i = inner_stack.pop()
-                if instrumented:
-                    ins_op("call")
-                    ins_op("trunc_check")
-                if truncate_inner1(i):
-                    continue
-                if instrumented:
-                    ins_op("visit")
-                if truncate_inner2 is not None:
-                    if needs_barrier:
-                        barrier(o)
-                    if instrumented:
-                        ins_op("trunc_check")
-                    if truncate_inner2(o, i):
-                        continue
-                if instrumented:
-                    ins_access(INNER_TREE, i)
-                    ins_access(OUTER_TREE, o)
-                    ins_work(o, i)
-                add(o, i)
-                if i.children:
-                    inner_stack.extend(reversed(i.children))
-        if o.children:
-            outer_stack.extend(reversed(o.children))
-    dispatcher.flush()
-
-
-#: Work-stack tags for the interchanged/twisted engines.
-_CLOSE_PHASE = 0  # release one truncation phase's flags
-_VISIT_SWAPPED = 1  # swapped-order visit of an inner node
-_VISIT_REGULAR = 2  # regular-order visit of an outer node (twist only)
-_DISPATCH_REGULAR = 3  # size-compare an outer child in regular mode
-_DISPATCH_SWAPPED = 4  # size-compare an inner child in swapped mode
-
-
-def run_interchanged_batched(
-    spec: NestedRecursionSpec,
-    instrument: Optional[Instrument] = None,
-    use_counters: bool = False,
-    subtree_truncation: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> None:
-    """Batched counterpart of :func:`repro.core.interchange.run_interchanged`."""
-    ins = instrument or NULL_INSTRUMENT
-    instrumented = ins is not NULL_INSTRUMENT
-    policy = make_policy(spec, use_counters)
-    irregular = spec.is_irregular
-    truncate_outer = spec.truncate_outer
-    truncate_inner1 = spec.truncate_inner1
-    ins_op = ins.op
-    ins_access = ins.access
-    ins_work = ins.work
-    dispatcher = BatchDispatcher(spec, batch_size)
-    add = dispatcher.add
-    needs_barrier = dispatcher.track_outers and irregular
-    barrier = dispatcher.barrier
-    check_and_mark = policy.check_and_mark
-    bulk = _bulk_eligible(spec, ins)
-    outer_root = spec.outer_root
-    outer_pre = list(outer_root.iter_preorder()) if bulk else None
-    add_many = dispatcher.add_many
-
-    spec.reset_truncation_state()
-    # Entries: (tag, inner node or None, phase frame or None).
-    stack: list[tuple] = [(_VISIT_SWAPPED, spec.inner_root, None)]
-    while stack:
-        tag, i, frame = stack.pop()
-        if tag == _CLOSE_PHASE:
-            policy.close_phase(frame, ins)
-            continue
-        if instrumented:
-            ins_op("call")
-            ins_op("trunc_check")
-        if truncate_inner1(i):
-            continue
-        frame = policy.open_phase()
-        if bulk:
-            add_many(outer_pre, [i] * len(outer_pre))
-            all_truncated = False
-        else:
-            # Flat swapped-order traversal of the outer tree for the
-            # fixed inner node ``i`` — the recursive
-            # recurse_inner_swapped, unrolled.  ``all_truncated`` is a
-            # conjunction over every live outer node, so accumulating
-            # it across the flat loop is order-independent.
-            all_truncated = True
-            outer_stack = [outer_root]
-            while outer_stack:
-                o = outer_stack.pop()
-                if instrumented:
-                    ins_op("call")
-                    ins_op("trunc_check")
-                if truncate_outer(o):
-                    continue
-                if instrumented:
-                    ins_op("visit")
-                if irregular:
-                    if needs_barrier:
-                        barrier(o)
-                    skipped = check_and_mark(o, i, frame, ins)
-                else:
-                    skipped = False
-                if not skipped:
-                    if instrumented:
-                        ins_access(INNER_TREE, i)
-                        ins_access(OUTER_TREE, o)
-                        ins_work(o, i)
-                    add(o, i)
-                    all_truncated = False
-                if o.children:
-                    outer_stack.extend(reversed(o.children))
-        stack.append((_CLOSE_PHASE, None, frame))
-        if not (subtree_truncation and all_truncated):
-            for child in reversed(i.children):
-                stack.append((_VISIT_SWAPPED, child, None))
-    dispatcher.flush()
-
-
-def run_twisted_batched(
-    spec: NestedRecursionSpec,
-    instrument: Optional[Instrument] = None,
-    cutoff: Optional[int] = None,
-    use_counters: bool = False,
-    subtree_truncation: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> None:
-    """Batched counterpart of :func:`repro.core.twisting.run_twisted`.
-
-    Implements the full Figure 4(a) state machine — regular and swapped
-    phases, size-compare/twist dispatch, the Section 7.1 cutoff, the
-    Section 4 flag/counter machinery and Section 4.2 subtree truncation
-    — on one tagged work stack.
-    """
-    ins = instrument or NULL_INSTRUMENT
-    instrumented = ins is not NULL_INSTRUMENT
-    policy = make_policy(spec, use_counters)
-    irregular = spec.is_irregular
-    truncate_outer = spec.truncate_outer
-    truncate_inner1 = spec.truncate_inner1
-    truncate_inner2 = spec.truncate_inner2
-    ins_op = ins.op
-    ins_access = ins.access
-    ins_work = ins.work
-    dispatcher = BatchDispatcher(spec, batch_size)
-    add = dispatcher.add
-    needs_barrier = dispatcher.track_outers and irregular
-    barrier = dispatcher.barrier
-    check_and_mark = policy.check_and_mark
-    subtree_truncated = policy.subtree_truncated
-    bulk = _bulk_eligible(spec, ins)
-    if bulk:
-        outer_pre, outer_pos = _preorder_index(spec.outer_root)
-        inner_pre, inner_pos = _preorder_index(spec.inner_root)
-    add_many = dispatcher.add_many
-    block_t2 = _block_truncation(spec, instrumented)
-    # An outer node's regular phases recur across many tiles, so block
-    # decisions are computed once per outer node and memoized.
-    prune_cache: dict[IndexNode, object] = {}
-    pending_os, pending_is = dispatcher._os, dispatcher._is
-
-    spec.reset_truncation_state()
-    # Entries: (tag, outer node, inner node, phase frame).
-    stack: list[tuple] = [(_VISIT_REGULAR, spec.outer_root, spec.inner_root, None)]
-    while stack:
-        tag, o, i, frame = stack.pop()
-        if tag == _CLOSE_PHASE:
-            policy.close_phase(frame, ins)
-            continue
-        if tag == _DISPATCH_REGULAR:
-            # Figure 4(a) lines 9-13: hand child ``o`` to whichever
-            # order the size comparison (and the Section 7.1 cutoff)
-            # selects.
-            if instrumented:
-                ins_op("size_compare")
-            if o.size <= i.size and (cutoff is None or i.size > cutoff):
-                if instrumented:
-                    ins_op("twist")
-                tag = _VISIT_SWAPPED
-            else:
-                tag = _VISIT_REGULAR
-        elif tag == _DISPATCH_SWAPPED:
-            # Figure 4(a) lines 23-27: hand child ``i`` back to the
-            # regular order when it fits.
-            if instrumented:
-                ins_op("size_compare")
-            if i.size <= o.size:
-                if instrumented:
-                    ins_op("twist")
-                tag = _VISIT_REGULAR
-            else:
-                tag = _VISIT_SWAPPED
-        if tag == _VISIT_REGULAR:
-            if instrumented:
-                ins_op("call")
-                ins_op("trunc_check")
-            if truncate_outer(o):
-                continue
-            if irregular and subtree_truncated(o, i, ins):
-                # A flag set by an enclosing swapped phase covers this
-                # whole inner subtree for ``o``; skip the traversal but
-                # still dispatch o's children below.
-                pass
-            elif bulk:
-                position = inner_pos[i]
-                span = inner_pre[position : position + i.size]
-                add_many([o] * len(span), span)
-            elif block_t2 is not None and (
-                prune := (
-                    prune_cache[o]
-                    if o in prune_cache
-                    else prune_cache.setdefault(
-                        o, _as_prune_list(block_t2(o))
-                    )
-                )
-            ) is not None:
-                # Same fast traversal as the original executor, over
-                # the tile's inner subtree.
-                if prune is not True:
-                    inner_stack = [i]
-                    append_o = pending_os.append
-                    append_i = pending_is.append
-                    if prune is False:
-                        while inner_stack:
-                            i2 = inner_stack.pop()
-                            append_o(o)
-                            append_i(i2)
-                            if i2.children:
-                                inner_stack.extend(reversed(i2.children))
-                    else:
-                        while inner_stack:
-                            i2 = inner_stack.pop()
-                            if prune[i2.number]:
-                                continue
-                            append_o(o)
-                            append_i(i2)
-                            if i2.children:
-                                inner_stack.extend(reversed(i2.children))
-                    if len(pending_os) >= batch_size:
-                        dispatcher.flush()
-            else:
-                # Flat regular-order inner traversal (the original
-                # template's recurseInner, structural truncateInner2?
-                # cut-off included).
-                inner_stack = [i]
-                while inner_stack:
-                    i2 = inner_stack.pop()
-                    if instrumented:
-                        ins_op("call")
-                        ins_op("trunc_check")
-                    if truncate_inner1(i2):
-                        continue
-                    if instrumented:
-                        ins_op("visit")
-                    if irregular:
-                        if needs_barrier:
-                            barrier(o)
-                        if instrumented:
-                            ins_op("trunc_check")
-                        if truncate_inner2(o, i2):
-                            continue
-                    if instrumented:
-                        ins_access(INNER_TREE, i2)
-                        ins_access(OUTER_TREE, o)
-                        ins_work(o, i2)
-                    add(o, i2)
-                    if i2.children:
-                        inner_stack.extend(reversed(i2.children))
-            for child in reversed(o.children):
-                stack.append((_DISPATCH_REGULAR, child, i, None))
-        else:  # _VISIT_SWAPPED
-            if instrumented:
-                ins_op("call")
-                ins_op("trunc_check")
-            if truncate_inner1(i):
-                continue
-            frame = policy.open_phase()
-            if bulk:
-                position = outer_pos[o]
-                span = outer_pre[position : position + o.size]
-                add_many(span, [i] * len(span))
-                all_truncated = False
-            else:
-                all_truncated = True
-                outer_stack = [o]
-                while outer_stack:
-                    o2 = outer_stack.pop()
-                    if instrumented:
-                        ins_op("call")
-                        ins_op("trunc_check")
-                    if truncate_outer(o2):
-                        continue
-                    if instrumented:
-                        ins_op("visit")
-                    if irregular:
-                        if needs_barrier:
-                            barrier(o2)
-                        skipped = check_and_mark(o2, i, frame, ins)
-                    else:
-                        skipped = False
-                    if not skipped:
-                        if instrumented:
-                            ins_access(INNER_TREE, i)
-                            ins_access(OUTER_TREE, o2)
-                            ins_work(o2, i)
-                        add(o2, i)
-                        all_truncated = False
-                    if o2.children:
-                        outer_stack.extend(reversed(o2.children))
-            stack.append((_CLOSE_PHASE, None, None, frame))
-            if not (subtree_truncation and all_truncated):
-                for child in reversed(i.children):
-                    stack.append((_DISPATCH_SWAPPED, o, child, None))
-    dispatcher.flush()

@@ -31,14 +31,14 @@ def run_original(
     """Execute the spec in the original nested-recursion order.
 
     Iteration spaces too deep for safe Python recursion are routed
-    through the explicit-stack batched executor, which emits the exact
+    through the explicit-stack SoA executor, which emits the exact
     same instrumentation event sequence (see
-    :mod:`repro.core.batched`'s exactness contract).
+    :mod:`repro.core.soa_exec`'s exactness contract).
     """
     if exceeds_safe_depth(spec.outer_root, spec.inner_root):
-        from repro.core.batched import run_original_batched
+        from repro.core.soa_exec import run_original_soa
 
-        run_original_batched(spec, instrument)
+        run_original_soa(spec, instrument)
         return
     ins = instrument or NULL_INSTRUMENT
     truncate_outer = spec.truncate_outer

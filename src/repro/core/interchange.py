@@ -51,13 +51,13 @@ def run_interchanged(
         subtree is truncated for the current inner node.
 
     Iteration spaces too deep for safe Python recursion are routed
-    through the explicit-stack batched executor, which emits the exact
+    through the explicit-stack SoA executor, which emits the exact
     same instrumentation event sequence.
     """
     if exceeds_safe_depth(spec.outer_root, spec.inner_root):
-        from repro.core.batched import run_interchanged_batched
+        from repro.core.soa_exec import run_interchanged_soa
 
-        run_interchanged_batched(
+        run_interchanged_soa(
             spec,
             instrument,
             use_counters=use_counters,

@@ -39,10 +39,6 @@ from repro.core.spec import NestedRecursionSpec, _never
 from repro.errors import ScheduleError
 from repro.spaces.node import IndexNode, tree_depth
 
-#: Engines accepted by :func:`run_task_parallel`.
-ENGINES = ("simulated", "process", "thread")
-
-
 @dataclass
 class Task:
     """One spawned unit: an outer subtree crossed with the inner tree."""
@@ -272,32 +268,19 @@ def run_task_parallel(
     task_cycles: Optional[TaskRunner] = None,
     instruments: Optional[Sequence[Instrument]] = None,
     backend: str = "recursive",
-    engine: str = "simulated",
-    max_workers: Optional[int] = None,
-):
-    """Execute a spec as spawn-depth-bounded parallel tasks.
+) -> ParallelReport:
+    """Execute a spec as spawn-depth-bounded tasks on simulated workers.
 
-    ``engine`` picks the runtime:
-
-    * ``"simulated"`` (default) — the historical behavior: tasks are
-      assigned to pretend workers and executed serially, one at a time,
-      and the returned :class:`ParallelReport` carries modeled cycles
-      and the LPT makespan.  Unchanged semantics, bit-for-bit.
-    * ``"process"`` / ``"thread"`` — the real multi-core runtime of
-      :mod:`repro.core.parallel_exec`: the same spawn decomposition and
-      LPT placement, executed on hardware workers.  Requires the spec
-      to carry a :class:`~repro.core.parallel_exec.ParallelPlan`;
-      returns a :class:`~repro.core.parallel_exec.ParallelExecReport`
-      (same ``makespan``/``parallel_speedup`` vocabulary, measured in
-      wall seconds).  ``task_cycles``/``instruments`` are
-      simulated-only and rejected here.
+    This is the Section 7.3 cycle model: tasks are assigned to pretend
+    workers and executed serially, one at a time, and the returned
+    :class:`ParallelReport` carries modeled cycles and the LPT
+    makespan.  The real multi-core runtime — the same spawn
+    decomposition and LPT placement on hardware workers — is
+    :func:`repro.core.parallel_exec.run_parallel`.
 
     ``spawn_depth=None`` engages the autotuner
-    (:func:`auto_spawn_depth`) on every engine.  ``max_workers`` caps
-    the real engines' pool size (defaults to ``num_workers``).
-
-    Tasks are assigned greedily (largest estimated cost first, to the
-    least loaded worker) and, under the simulated engine, executed in
+    (:func:`auto_spawn_depth`).  Tasks are assigned greedily (largest
+    estimated cost first, to the least loaded worker) and executed in
     worker order — which is a *valid* serialization because spawning
     requires outer-parallelism.  ``task_cycles`` measures one task's
     cost; the default counts executed work points (callers wanting
@@ -307,29 +290,8 @@ def run_task_parallel(
     executor; task specs always carry per-task isolated truncation
     state, so any backend may simulate sibling tasks concurrently.
     """
-    if engine not in ENGINES:
-        raise ScheduleError(
-            f"unknown engine {engine!r}; known: {list(ENGINES)}"
-        )
     if num_workers < 1:
         raise ScheduleError(f"num_workers must be >= 1, got {num_workers}")
-    if engine != "simulated":
-        if task_cycles is not None or instruments is not None:
-            raise ScheduleError(
-                "task_cycles/instruments only apply to the simulated "
-                "engine; the real engines measure wall-clock time and "
-                "cannot ship instruments across workers"
-            )
-        from repro.core.parallel_exec import run_parallel
-
-        return run_parallel(
-            spec,
-            schedule=schedule,
-            engine=engine,
-            max_workers=max_workers if max_workers is not None else num_workers,
-            spawn_depth=spawn_depth,
-            task_backend=backend,
-        )
     if instruments is not None and len(instruments) != num_workers:
         raise ScheduleError("need exactly one instrument per worker")
 

@@ -92,7 +92,7 @@ REAL_ENGINES = ("process", "thread")
 
 #: Executor families a caller may name for the tasks.  ``auto`` is
 #: resolved once, in the parent, so workers never run the selector.
-TASK_BACKENDS = ("recursive", "batched", "soa", "auto")
+TASK_BACKENDS = ("recursive", "soa", "auto")
 
 
 @dataclass
@@ -513,7 +513,7 @@ def run_parallel(
     if engine not in REAL_ENGINES:
         raise ScheduleError(
             f"unknown parallel engine {engine!r}; known: {list(REAL_ENGINES)} "
-            "(the simulated engine lives in run_task_parallel)"
+            "(the simulated cycle model lives in run_task_parallel)"
         )
     if task_backend not in TASK_BACKENDS:
         raise ScheduleError(

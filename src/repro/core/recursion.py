@@ -14,8 +14,8 @@ exhausting the C stack (a hard crash, not a catchable
 ``RecursionError``, on interpreters whose frames consume native
 stack).  The recursive executors therefore test
 :func:`exceeds_safe_depth` up front and route such spaces through the
-explicit-stack batched executors (:mod:`repro.core.batched`), which
-are event-for-event identical and have no depth limit;
+explicit-stack SoA executors (:mod:`repro.core.soa_exec`), which are
+event-for-event identical and have no depth limit;
 :func:`recursion_guard` itself refuses to raise the limit past the
 ceiling with a :class:`~repro.errors.ScheduleError` as a last line of
 defense.
@@ -58,7 +58,7 @@ def required_limit(outer_root: IndexNode, inner_root: IndexNode) -> int:
 def exceeds_safe_depth(outer_root: IndexNode, inner_root: IndexNode) -> bool:
     """True when the trees are too deep for the recursive executors.
 
-    Callers holding such a pair should run the explicit-stack batched
+    Callers holding such a pair should run the explicit-stack SoA
     executor instead (the recursive executors do so automatically).
     """
     return required_limit(outer_root, inner_root) > MAX_SAFE_RECURSION_LIMIT
@@ -76,7 +76,7 @@ def recursion_guard(
         raise ScheduleError(
             f"iteration space needs a recursion limit of {needed}, past "
             f"the safe ceiling of {MAX_SAFE_RECURSION_LIMIT}; run it "
-            "through the explicit-stack executors in repro.core.batched"
+            "through the explicit-stack executors in repro.core.soa_exec"
         )
     previous = sys.getrecursionlimit()
     if needed > previous:

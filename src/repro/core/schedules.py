@@ -10,12 +10,11 @@ Every schedule carries interchangeable backends:
 
 * ``recursive`` — the faithful recursive executors, structured like
   the paper's listings;
-* ``batched`` — the explicit-stack executors of
-  :mod:`repro.core.batched`, which defer work into vectorized blocks
-  while emitting the exact same instrumentation event sequence;
-* ``soa`` — the index-based executors of :mod:`repro.core.soa_exec`,
+* ``soa`` — the explicit-stack executors of :mod:`repro.core.soa_exec`,
   which traverse packed structure-of-arrays views
-  (:mod:`repro.spaces.soa`) instead of linked nodes;
+  (:mod:`repro.spaces.soa`) instead of linked nodes and defer work into
+  vectorized blocks, while emitting the exact same instrumentation
+  event sequence;
 * ``compiled`` — the proof-gated fused executors of
   :mod:`repro.core.compiled`, which replay the SoA emission order in
   position blocks (streamed closed forms, a cached narrow twist
@@ -39,11 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.batched import (
-    run_interchanged_batched,
-    run_original_batched,
-    run_twisted_batched,
-)
 from repro.core.compiled import (
     run_interchanged_compiled,
     run_original_compiled,
@@ -66,7 +60,6 @@ Runner = Callable[..., None]
 #: Backend names accepted by :meth:`Schedule.run`.
 BACKENDS = (
     "recursive",
-    "batched",
     "soa",
     "compiled",
     "parallel",
@@ -81,7 +74,6 @@ class Schedule:
 
     name: str
     _runner: Runner
-    _batched_runner: Runner
     _soa_runner: Runner
     _compiled_runner: Runner
 
@@ -96,7 +88,7 @@ class Schedule:
         """Execute ``spec`` under this schedule.
 
         ``backend`` selects the recursive executors (default), the
-        batched explicit-stack ones, the SoA index-based ones,
+        SoA explicit-stack ones,
         ``"compiled"`` (the proof-gated fused executors of
         :mod:`repro.core.compiled` — requires a TW20x ``lowerable``
         verdict and delegates instrumented runs to the SoA backend),
@@ -160,8 +152,6 @@ class Schedule:
             return
         if backend == "recursive":
             self._runner(spec, instrument=instrument)
-        elif backend == "batched":
-            self._batched_runner(spec, instrument=instrument)
         elif backend == "soa":
             self._soa_runner(spec, instrument=instrument, order=order)
         elif backend == "compiled":
@@ -176,7 +166,6 @@ class Schedule:
 ORIGINAL = Schedule(
     "original",
     run_original,
-    run_original_batched,
     run_original_soa,
     run_original_compiled,
 )
@@ -185,7 +174,6 @@ ORIGINAL = Schedule(
 INTERCHANGE = Schedule(
     "interchange",
     run_interchanged,
-    run_interchanged_batched,
     run_interchanged_soa,
     run_interchanged_compiled,
 )
@@ -194,9 +182,6 @@ INTERCHANGE = Schedule(
 INTERCHANGE_SUBTREE = Schedule(
     "interchange+subtree",
     lambda spec, instrument=None: run_interchanged(
-        spec, instrument=instrument, subtree_truncation=True
-    ),
-    lambda spec, instrument=None: run_interchanged_batched(
         spec, instrument=instrument, subtree_truncation=True
     ),
     lambda spec, instrument=None, order="preorder": run_interchanged_soa(
@@ -212,7 +197,6 @@ INTERCHANGE_SUBTREE = Schedule(
 TWIST = Schedule(
     "twist",
     run_twisted,
-    run_twisted_batched,
     run_twisted_soa,
     run_twisted_compiled,
 )
@@ -221,9 +205,6 @@ TWIST = Schedule(
 TWIST_COUNTERS = Schedule(
     "twist+counters",
     lambda spec, instrument=None: run_twisted(
-        spec, instrument=instrument, use_counters=True
-    ),
-    lambda spec, instrument=None: run_twisted_batched(
         spec, instrument=instrument, use_counters=True
     ),
     lambda spec, instrument=None, order="preorder": run_twisted_soa(
@@ -238,9 +219,6 @@ TWIST_COUNTERS = Schedule(
 TWIST_NO_SUBTREE = Schedule(
     "twist-subtree",
     lambda spec, instrument=None: run_twisted(
-        spec, instrument=instrument, subtree_truncation=False
-    ),
-    lambda spec, instrument=None: run_twisted_batched(
         spec, instrument=instrument, subtree_truncation=False
     ),
     lambda spec, instrument=None, order="preorder": run_twisted_soa(
@@ -259,9 +237,6 @@ def twist_with_cutoff(cutoff: int) -> Schedule:
     return Schedule(
         f"twist(cutoff={cutoff})",
         lambda spec, instrument=None: run_twisted(
-            spec, instrument=instrument, cutoff=cutoff
-        ),
-        lambda spec, instrument=None: run_twisted_batched(
             spec, instrument=instrument, cutoff=cutoff
         ),
         lambda spec, instrument=None, order="preorder": run_twisted_soa(

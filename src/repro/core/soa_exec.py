@@ -1,16 +1,14 @@
-"""Index-based executors over structure-of-arrays tree storage.
+"""Explicit-stack executors over structure-of-arrays tree storage.
 
-The batched executors (:mod:`repro.core.batched`) removed the
-per-``work``-call interpreter overhead but still *traverse* linked
-Python objects — every visit chases ``node.children`` and reads
-``node.size``/``node.number`` attributes, and every stateful-truncation
-barrier degrades the deferred blocks of pruning-heavy traversals
-(NN/KNN/VP) to a handful of pairs, which is why those benchmarks
-regress under ``backend="batched"``.
-
-These executors traverse *integers* instead: a packed
-:class:`~repro.spaces.soa.SoATree` view (built once per root and
-cached) gives each run
+The recursive executors (:mod:`repro.core.executors`,
+:mod:`repro.core.interchange`, :mod:`repro.core.twisting`) are the
+paper's listings: one Python call per node visit and one ``work(o, i)``
+call per iteration, with a recursion depth bounded by the trees'.
+These executors run every schedule — Figure 2's original, §2's
+interchange, §3's twisting with the §4 flags, counters and subtree
+truncation, and §7.1's cutoff — on explicit stacks of *integers*
+instead: a packed :class:`~repro.spaces.soa.SoATree` view (built once
+per root and cached, without recursion) gives each run
 
 * pre-order **rank** space, where a subtree is always the contiguous
   run ``[rank, rank + span[rank])`` — whole-subtree dispatch and
@@ -23,15 +21,17 @@ cached) gives each run
   receive gathered *column indices* instead of node objects and can
   vectorize the payload gather itself.
 
+Having no depth limit, they are also where the recursive executors
+send trees too deep to recurse (:mod:`repro.core.recursion`).
+
 Work dispatch picks one of three modes per run:
 
 ``inline``
     ``truncation_observes_work`` specs (dual-tree NN/KNN/VP, KDE)
-    execute scalar ``work`` calls at their schedule position.  The
-    batched engine must barrier-flush before every stateful
-    ``truncateInner2?``, which shreds its blocks; executing inline
-    costs nothing extra and keeps the explicit-stack traversal savings
-    — this is what removes the NN/KNN/VP regressions.
+    execute scalar ``work`` calls at their schedule position.  Deferred
+    blocks would have to be barrier-flushed before every stateful
+    ``truncateInner2?``, which shreds them; executing inline costs
+    nothing extra and keeps the explicit-stack traversal savings.
 
 ``positions``
     Specs with ``work_batch_soa`` (and stateless truncation) defer
@@ -39,9 +39,10 @@ Work dispatch picks one of three modes per run:
     the SoA kernel — no node objects on the hot path at all.
 
 ``nodes``
-    Everything else reuses :class:`~repro.core.batched.BatchDispatcher`
-    (deferred node pairs, ``work_batch`` flushes, per-outer barriers),
-    gaining only the cheaper traversal.
+    Everything else (PC, plain ``work_batch`` specs, parallel
+    single-node-view tasks) defers node pairs into
+    :class:`~repro.core.batched.BatchDispatcher` (``work_batch``
+    flushes, per-outer barriers).
 
 The Section 4 flag/counter machinery runs on per-run arrays indexed by
 outer rank (a ``bytearray`` of flags, a list of counters) instead of
@@ -49,12 +50,27 @@ policy objects over node scratch state — same decisions, same
 instrument events, no writes to shared trees (so SoA runs are always
 truncation-isolated in the :mod:`repro.core.parallel` sense).
 
-Exactness contract: identical to the batched executors — instrument
-event streams are bit-identical to the recursive executors', work
-order is preserved, and stateful truncation never observes deferred
-state.  The parity suite in ``tests/unit/core/test_soa_exec.py``
-asserts event-for-event equality for all benchmarks under flags and
-counters, instrumented and not.
+Exactness contract
+------------------
+
+* **Instrumentation is bit-identical.**  All instrument events (ops,
+  accesses, work points) are emitted inline during the traversal, in
+  exactly the order the recursive executors emit them; only the
+  user's ``work`` calls are deferred.
+* **Work order is preserved.**  Deferred pairs are dispatched in the
+  order they were reached.
+* **Stateful truncation never observes deferred state** (the
+  ``inline`` mode, or the dispatcher's barrier).
+
+The parity suites (``tests/unit/core/test_soa_exec.py``,
+``test_batched.py``, ``test_iterative*.py`` and their property
+counterparts) assert event-for-event equality for all benchmarks under
+flags and counters, instrumented and not, at any ``batch_size``.
+
+When the run is uninstrumented *and* the spec never truncates (TJ,
+MM), a bulk mode collapses each inner traversal into C-speed list
+extends over rank slices — this is where the headline wall-clock
+speedups come from.
 """
 
 from __future__ import annotations
@@ -98,13 +114,20 @@ def dispatch_mode(spec: NestedRecursionSpec) -> str:
     (:mod:`repro.transform.lint.backend`) keys its ``soa`` verdict on
     this: ``inline`` runs the scalar kernel itself (nothing to prove),
     ``positions`` stands or falls with ``work_batch_soa``, and
-    ``nodes`` inherits the batched dispatcher's verdict.
+    ``nodes`` inherits the analyzer's ``batched`` verdict on the
+    node-block dispatcher (:class:`~repro.core.batched.BatchDispatcher`).
     """
     return _dispatch_mode(spec)
 
 
 def _bulk_eligible(spec: NestedRecursionSpec, ins: Instrument) -> bool:
-    """Same fast-path test as the batched engine, SoA kernels included."""
+    """May the run skip per-point bookkeeping entirely?
+
+    True when nothing can observe the per-point pacing: no instrument
+    is attached, no truncation predicate can fire (the spec's
+    predicates are the shared never-truncate defaults), and there is
+    work to dispatch (scalar, node-block or SoA-native).
+    """
     return (
         ins is NULL_INSTRUMENT
         and spec.truncate_inner2 is None
@@ -209,6 +232,9 @@ def run_original_soa(
         needs_barrier = dispatcher.track_outers and truncate_inner2 is not None
     bulk = _bulk_eligible(spec, ins)
     block_t2 = None if inline else _block_truncation(spec, instrumented)
+    if block_t2 is not None:
+        i_vals = i_positions if by_position else i_nodes
+        i_span = inner.rank_span
     inner_count = inner.num_nodes
 
     outer_stack = [0]
@@ -236,12 +262,13 @@ def run_original_soa(
         ):
             _emit_pruned_subtree(
                 dispatcher,
-                by_position,
                 o_positions[orank] if by_position else o,
                 0,
-                inner,
+                i_vals,
+                i_span,
+                i_number,
+                i_kids,
                 prune,
-                batch_size,
             )
         else:
             inner_stack = [0]
@@ -284,12 +311,13 @@ def run_original_soa(
 
 def _emit_pruned_subtree(
     dispatcher,
-    by_position: bool,
-    o,
+    o_val,
     irank: int,
-    inner: SoATree,
+    i_vals: list,
+    i_span: list,
+    i_number: list,
+    i_kids: list,
     prune,
-    batch_size: int,
 ) -> None:
     """Emit the inner subtree at ``irank`` under a pre-evaluated prune.
 
@@ -297,63 +325,38 @@ def _emit_pruned_subtree(
     pruned — nothing to emit), ``False`` (nothing pruned — the whole
     subtree collapses to one contiguous rank-span block, since the
     generic traversal visits it in exactly pre-order), or a list
-    indexed by stored inner ``number``.  Appends straight into the
-    dispatcher's pending lists, exactly like the batched fast path.
+    indexed by stored inner ``number``.  Appends ``(o_val, i_vals[r])``
+    straight into the dispatcher's pending lists; ``i_vals`` is the
+    per-rank emit payload (layout positions or nodes, as in
+    :func:`_run_twisted_bulk`).  The caller passes the rank lists it
+    already holds: this runs once per regular tile, so re-reading them
+    from the packed view here would dominate a pruned twist.
     """
     if prune is True:
         return
-    span = inner.rank_span
-    end = irank + span[irank]
-    if by_position:
-        pending_os, pending_is = dispatcher._os, dispatcher._is
-        o_key = o
-        if prune is False:
-            segment = inner.rank_pos_list[irank:end]
-            pending_os.extend([o_key] * len(segment))
-            pending_is.extend(segment)
-        else:
-            i_number = inner.rank_number
-            i_positions = inner.rank_pos_list
-            append_o = pending_os.append
-            append_i = pending_is.append
-            kids_of = inner.rank_children_rev
-            stack = [irank]
-            while stack:
-                rank = stack.pop()
-                if prune[i_number[rank]]:
-                    continue
-                append_o(o_key)
-                append_i(i_positions[rank])
-                kids = kids_of[rank]
-                if kids:
-                    stack.extend(kids)
+    pending_os, pending_is = dispatcher._os, dispatcher._is
+    if prune is False:
+        segment = i_vals[irank : irank + i_span[irank]]
+        pending_os.extend([o_val] * len(segment))
+        pending_is.extend(segment)
     else:
-        pending_os, pending_is = dispatcher._os, dispatcher._is
-        if prune is False:
-            segment = inner.rank_nodes[irank:end]
-            pending_os.extend([o] * len(segment))
-            pending_is.extend(segment)
-        else:
-            i_number = inner.rank_number
-            i_nodes = inner.rank_nodes
-            append_o = pending_os.append
-            append_i = pending_is.append
-            kids_of = inner.rank_children_rev
-            stack = [irank]
-            while stack:
-                rank = stack.pop()
-                if prune[i_number[rank]]:
-                    continue
-                append_o(o)
-                append_i(i_nodes[rank])
-                kids = kids_of[rank]
-                if kids:
-                    stack.extend(kids)
-    if len(pending_os) >= batch_size:
+        append_o = pending_os.append
+        append_i = pending_is.append
+        stack = [irank]
+        while stack:
+            rank = stack.pop()
+            if prune[i_number[rank]]:
+                continue
+            append_o(o_val)
+            append_i(i_vals[rank])
+            kids = i_kids[rank]
+            if kids:
+                stack.extend(kids)
+    if len(pending_os) >= dispatcher.batch_size:
         dispatcher.flush()
 
 
-#: Work-stack tags, matching :mod:`repro.core.batched`.
+#: Work-stack tags of the interchanged/twisted state machines.
 _CLOSE_PHASE = 0
 _VISIT_SWAPPED = 1
 _VISIT_REGULAR = 2
@@ -661,6 +664,9 @@ def run_twisted_soa(
         )
         return
     block_t2 = None if inline else _block_truncation(spec, instrumented)
+    if block_t2 is not None:
+        i_vals = i_positions if by_position else i_nodes
+        i_span = inner.rank_span
     # Block decisions are memoized per outer rank: an outer node's
     # regular phases recur across many tiles.
     prune_cache: dict[int, object] = {}
@@ -729,12 +735,13 @@ def run_twisted_soa(
             ) is not None:
                 _emit_pruned_subtree(
                     dispatcher,
-                    by_position,
                     o_positions[orank] if by_position else o,
                     irank,
-                    inner,
+                    i_vals,
+                    i_span,
+                    i_number,
+                    i_kids,
                     prune,
-                    batch_size,
                 )
             else:
                 inner_stack = [irank]

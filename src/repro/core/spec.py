@@ -73,10 +73,10 @@ class NestedRecursionSpec:
     work_batch:
         Optional vectorized form of ``work``: receives two parallel
         sequences of nodes and must be semantically equivalent to
-        calling ``work(o, i)`` on each pair in order.  The batched
-        executor (:mod:`repro.core.batched`) dispatches accumulated
-        leaf-level blocks through it; the recursive executors ignore
-        it.
+        calling ``work(o, i)`` on each pair in order.  The SoA
+        executors' node-block mode (:mod:`repro.core.batched`)
+        dispatches accumulated leaf-level blocks through it; the
+        recursive executors ignore it.
     work_batch_soa:
         Optional SoA-native form of ``work``: called as
         ``work_batch_soa(outer_view, inner_view, o_positions,
@@ -90,11 +90,11 @@ class NestedRecursionSpec:
         payload column) instead of node objects.
     truncation_observes_work:
         ``True`` when ``truncate_inner2`` reads state that ``work``
-        writes (the stateful dual-tree bounds of NN/KNN).  The batched
-        executor then flushes pending work for an outer node before
-        evaluating its truncation, so deferral never changes a
-        truncation decision.  Irrelevant for the recursive executors,
-        which never defer.
+        writes (the stateful dual-tree bounds of NN/KNN).  The SoA
+        executors then run ``work`` inline, or flush pending work for
+        an outer node before evaluating its truncation, so deferral
+        never changes a truncation decision.  Irrelevant for the
+        recursive executors, which never defer.
     truncate_inner2_batch:
         Optional block form of ``truncate_inner2`` for *stateless*
         truncation: called with one outer node, it returns either a
@@ -102,7 +102,7 @@ class NestedRecursionSpec:
         boolean array indexed by inner-node pre-order ``number``, or
         ``None`` (block evaluation unavailable for this node — fall
         back to per-pair calls).  Every produced decision must equal
-        ``truncate_inner2(o, i)`` exactly.  Only the batched executor's
+        ``truncate_inner2(o, i)`` exactly.  Only the SoA executors'
         uninstrumented fast paths consume it, and only when
         ``truncation_observes_work`` is ``False`` (a stateful
         truncation cannot legally be pre-evaluated).

@@ -66,13 +66,13 @@ def run_twisted(
         paper's evaluated configuration.
 
     Iteration spaces too deep for safe Python recursion are routed
-    through the explicit-stack batched executor, which emits the exact
+    through the explicit-stack SoA executor, which emits the exact
     same instrumentation event sequence.
     """
     if exceeds_safe_depth(spec.outer_root, spec.inner_root):
-        from repro.core.batched import run_twisted_batched
+        from repro.core.soa_exec import run_twisted_soa
 
-        run_twisted_batched(
+        run_twisted_soa(
             spec,
             instrument,
             cutoff=cutoff,

@@ -11,7 +11,7 @@
 * :mod:`repro.dualtree.algorithms` — the PC/NN/KNN/VP benchmarks as
   runnable objects;
 * :mod:`repro.dualtree.batch` — padded leaf blocks and vectorized
-  block distances for the batched executor;
+  block distances for node-block dispatch;
 * :mod:`repro.dualtree.frontier` — point-level leaf frontiers: exact
   per-point k-NN and range counts without a query tree (serve ticks);
 * :mod:`repro.dualtree.brute` — brute-force oracles.

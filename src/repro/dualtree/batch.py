@@ -1,13 +1,13 @@
 """Padded leaf blocks: the dual-tree side of batched execution.
 
-The batched executor (:mod:`repro.core.batched`) hands the rules whole
-*blocks* of (query leaf, reference leaf) pairs at once.  To vectorize
-across a block, every leaf's points are staged into one padded array
-per tree — shape ``(num_leaves, capacity, dim)``, where ``capacity``
-is the largest leaf's point count — together with the matching point
-ids and a validity mask.  A block of pairs then becomes two row-index
-gathers plus a single broadcast distance computation, instead of one
-small NumPy expression per pair.
+The SoA executors' node-block dispatch (:mod:`repro.core.batched`)
+hands the rules whole *blocks* of (query leaf, reference leaf) pairs
+at once.  To vectorize across a block, every leaf's points are staged
+into one padded array per tree — shape ``(num_leaves, capacity,
+dim)``, where ``capacity`` is the largest leaf's point count —
+together with the matching point ids and a validity mask.  A block of
+pairs then becomes two row-index gathers plus a single broadcast
+distance computation, instead of one small NumPy expression per pair.
 
 Padding never changes results: distances are computed elementwise (so
 valid entries are bit-identical to the per-pair computation), and the

@@ -33,8 +33,8 @@ class DualTreeRules:
 
     #: True when ``score`` reads state that ``base_case`` writes (or
     #: itself writes productive state), so deferring base cases past a
-    #: score evaluation could change decisions or results.  The batched
-    #: executor uses this to decide whether truncation checks need a
+    #: score evaluation could change decisions or results.  The SoA
+    #: executors use this to decide whether truncation checks need a
     #: work barrier (``spec.truncation_observes_work``).  Conservative
     #: default: assume stateful.
     observes_results: bool = True

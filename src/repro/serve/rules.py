@@ -48,7 +48,7 @@ class ServeCountRules(DualTreeRules):
     """Per-query range counting (each query's slice of PC).
 
     ``Score`` is stateless geometry, so block truncation is legal and
-    the batched backend may run it; counts accumulate into a
+    the SoA backend's node-block mode may run it; counts accumulate into a
     caller-supplied int64 column.
     """
 

@@ -5,8 +5,9 @@ source; this module guards the other trust boundary the executors
 added since: a spec's vectorized kernels.  ``work_batch``,
 ``work_batch_soa`` and ``truncate_inner2_batch`` promise to be
 semantically equivalent to their scalar counterparts ("as if ``work``
-ran on each pair in order"), and both the batched engine and
-``backend="auto"`` lean on that promise without checking it.
+ran on each pair in order"), and both the SoA executors' block
+dispatch and ``backend="auto"`` lean on that promise without checking
+it.
 
 :func:`lint_spec` checks what can be checked statically, on the live
 function objects of a :class:`~repro.core.spec.NestedRecursionSpec`:
@@ -24,7 +25,10 @@ function objects of a :class:`~repro.core.spec.NestedRecursionSpec`:
   vectorized update of state the kernel also reads is only provably
   order-equivalent when it is a commutative reduction or a literal
   per-pair replay loop);
-* **a verdict per backend** folded into one spec classification:
+* **a verdict per backend** folded into one spec classification
+  (the ``batched`` verdict judges the ``work_batch`` node-block
+  dispatch, :class:`repro.core.batched.BatchDispatcher`, which the SoA
+  executors' ``nodes`` mode and parallel single-node-view tasks run):
   ``batch-safe`` / ``soa-safe`` (proofs went through), explicit
   ``needs-dynamic-check`` (holes remain — discharge them with the
   ``sanitize`` backend, :mod:`repro.core.sanitize`), or ``unsafe``

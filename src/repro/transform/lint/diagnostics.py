@@ -17,8 +17,8 @@ a severity and an indication of which verdict dimension it affects:
     kernels (``work_batch`` / ``work_batch_soa`` /
     ``truncate_inner2_batch``) with their scalar counterparts.  These
     findings never touch the §3.3 schedule verdict — they decide
-    whether the batched/SoA executors may stand in for the recursive
-    one (see :mod:`repro.transform.lint.backend`);
+    whether the SoA executors' block dispatch may stand in for the
+    recursive one (see :mod:`repro.transform.lint.backend`);
 ``lower``
     the ``TW20x`` family: *lowerability* of a spec's kernels to the
     typed kernel IR (:mod:`repro.transform.lint.kernel_ir`) — the

@@ -1,11 +1,13 @@
-"""Property-based parity: batched executors vs recursive, any space.
+"""Property-based parity: node-block dispatch vs recursive, any space.
 
 The unit suite checks the six annotated benchmarks; here hypothesis
 drives the same contract over *arbitrary* tree shapes, irregular
-truncation patterns, and schedule options: the batched executor must
-reproduce the recursive executor's instrument event stream — every
-op, access, and work point, in order — and hence its work-point
-sequence and op/access counts.
+truncation patterns, schedule options and flush sizes: the SoA
+executors' ``nodes`` mode (deferred node pairs through
+:class:`~repro.core.batched.BatchDispatcher`) must reproduce the
+recursive executor's instrument event stream — every op, access, and
+work point, in order — and hence its work-point sequence and op/access
+counts, at any ``batch_size``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     NestedRecursionSpec,
     run_interchanged,
-    run_interchanged_batched,
+    run_interchanged_soa,
     run_original,
-    run_original_batched,
+    run_original_soa,
     run_twisted,
-    run_twisted_batched,
+    run_twisted_soa,
 )
 from repro.core.instruments import Instrument
 from repro.spaces import random_tree
@@ -27,6 +29,7 @@ trees = st.builds(
     st.integers(min_value=1, max_value=24),
     seed=st.integers(min_value=0, max_value=10_000),
 )
+batch_sizes = st.integers(min_value=1, max_value=64)
 
 
 def blocked_pairs_strategy(max_nodes=24):
@@ -72,11 +75,11 @@ def events_of(run, spec, **kwargs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(trees, trees, blocked_pairs_strategy())
-def test_original_batched_event_parity(outer, inner, blocked):
+@given(trees, trees, blocked_pairs_strategy(), batch_sizes)
+def test_original_batched_event_parity(outer, inner, blocked, batch_size):
     spec = make_spec(outer, inner, blocked)
-    assert events_of(run_original_batched, spec) == events_of(
-        run_original, spec
+    assert events_of(run_original_soa, spec, batch_size=batch_size) == (
+        events_of(run_original, spec)
     )
 
 
@@ -87,18 +90,19 @@ def test_original_batched_event_parity(outer, inner, blocked):
     blocked_pairs_strategy(),
     st.booleans(),
     st.booleans(),
+    batch_sizes,
 )
 def test_interchanged_batched_event_parity(
-    outer, inner, blocked, use_counters, subtree_truncation
+    outer, inner, blocked, use_counters, subtree_truncation, batch_size
 ):
     spec = make_spec(outer, inner, blocked)
     kwargs = {
         "use_counters": use_counters,
         "subtree_truncation": subtree_truncation,
     }
-    assert events_of(run_interchanged_batched, spec, **kwargs) == events_of(
-        run_interchanged, spec, **kwargs
-    )
+    assert events_of(
+        run_interchanged_soa, spec, batch_size=batch_size, **kwargs
+    ) == events_of(run_interchanged, spec, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,9 +113,10 @@ def test_interchanged_batched_event_parity(
     st.one_of(st.none(), st.integers(min_value=0, max_value=16)),
     st.booleans(),
     st.booleans(),
+    batch_sizes,
 )
 def test_twisted_batched_event_parity(
-    outer, inner, blocked, cutoff, use_counters, subtree_truncation
+    outer, inner, blocked, cutoff, use_counters, subtree_truncation, batch_size
 ):
     spec = make_spec(outer, inner, blocked)
     kwargs = {
@@ -119,13 +124,13 @@ def test_twisted_batched_event_parity(
         "use_counters": use_counters,
         "subtree_truncation": subtree_truncation,
     }
-    assert events_of(run_twisted_batched, spec, **kwargs) == events_of(
-        run_twisted, spec, **kwargs
-    )
+    assert events_of(
+        run_twisted_soa, spec, batch_size=batch_size, **kwargs
+    ) == events_of(run_twisted, spec, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
-@given(trees, trees, blocked_pairs_strategy(), st.integers(1, 64))
+@given(trees, trees, blocked_pairs_strategy(), batch_sizes)
 def test_work_sequence_parity_any_batch_size(outer, inner, blocked, batch_size):
     """Deferred dispatch never reorders work, whatever the flush size."""
     recursive_points, batched_points = [], []
@@ -143,5 +148,5 @@ def test_work_sequence_parity_any_batch_size(outer, inner, blocked, batch_size):
         work=lambda o, i: batched_points.append((o.label, i.label)),
         truncate_inner2=spec.truncate_inner2,
     )
-    run_original_batched(spec, batch_size=batch_size)
+    run_original_soa(spec, batch_size=batch_size)
     assert batched_points == recursive_points

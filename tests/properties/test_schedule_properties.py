@@ -18,7 +18,7 @@ from repro.core import (
     run_interchanged,
     run_original,
     run_twisted,
-    run_twisted_batched,
+    run_twisted_soa,
 )
 from repro.spaces import random_tree
 
@@ -152,5 +152,5 @@ class TestIrregularSpaces:
         # recursive one on arbitrary shapes and truncation patterns.
         spec = make_spec(outer, inner, blocked)
         recursive = run_schedule(run_twisted, spec, subtree_truncation=False)
-        iterative = run_schedule(run_twisted_batched, spec, subtree_truncation=False)
+        iterative = run_schedule(run_twisted_soa, spec, subtree_truncation=False)
         assert iterative == recursive

@@ -57,6 +57,14 @@ class TestCheckPerfFloor:
         violations = check_perf_floor(payload(entry(results_match=False)))
         assert violations == ["TJ/twist: backend results mismatch"]
 
+    def test_retired_backend_timings_are_ignored(self):
+        # Checked-in payloads still time the deleted linked-node engine
+        # as "batched"; only backends that exist count as best single.
+        retired = entry(
+            timings={"recursive": 1.0, "batched": 0.1, "soa": 0.25, "auto": 0.26}
+        )
+        assert check_perf_floor(payload(retired)) == []
+
     def test_entries_without_auto_are_skipped(self):
         filtered = entry(timings={"recursive": 1.0, "soa": 0.25})
         assert check_perf_floor(payload(filtered)) == []

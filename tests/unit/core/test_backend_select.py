@@ -9,6 +9,9 @@ Three once-lossy seams, each pinned here:
    explicitly pinned order must still win).
 2. ``_refuse_unproven`` used to rebuild the downgraded
    :class:`BackendChoice` without ``order``, silently resetting it.
+   Its only downgrade is now to ``recursive``: the analyzer's
+   ``batched`` verdict names the node-block dispatch, not a backend
+   ``auto`` can pick.
 3. The conformance lookup used to swallow analyzer exceptions —
    selection silently proceeded with zero conformance evidence.  The
    failure now surfaces as a one-shot ``RuntimeWarning`` plus a
@@ -47,8 +50,7 @@ def _spy_schedule(log):
         return run
 
     recursive = lambda spec, instrument=None: log.append(("recursive", None))
-    batched = lambda spec, instrument=None: log.append(("batched", None))
-    return Schedule("spy", recursive, batched, runner("soa"), runner("compiled"))
+    return Schedule("spy", recursive, runner("soa"), runner("compiled"))
 
 
 class TestAutoOrderPlumbing:
@@ -109,12 +111,12 @@ class TestAutoOrderPlumbing:
 
 
 class TestRefuseUnprovenCarriesOrder:
-    def test_downgrade_to_the_proven_alternate_keeps_order(
+    def test_unsafe_soa_downgrades_to_recursive_despite_safe_batched(
         self, force_conformance
     ):
         force_conformance(batched="safe", soa="unsafe")
         choice = choose_backend(make_tj(200).make_spec())
-        assert choice.backend == "batched"
+        assert choice.backend == "recursive"
         assert choice.order == "veb"  # evidence about the spec, kept
 
     def test_downgrade_to_recursive_keeps_order(self, force_conformance):
@@ -179,13 +181,13 @@ class TestEvidencePlumbing:
         # The locality prior survives the downgrade rebuild.
         assert any(code.startswith("TW3") for code in choice.evidence)
 
-    def test_downgrade_to_the_alternate_keeps_evidence_too(
+    def test_downgrade_despite_safe_batched_keeps_evidence_too(
         self, force_conformance
     ):
         force_conformance(batched="safe", soa="unsafe")
         clear_choice_cache()
         choice = choose_backend(make_tj(200).make_spec())
-        assert choice.backend == "batched"
+        assert choice.backend == "recursive"
         assert any(code.startswith("TW3") for code in choice.evidence)
 
     def test_features_expose_the_locality_verdicts(self):
@@ -195,6 +197,26 @@ class TestEvidencePlumbing:
         assert set(locality) == {
             "interchange", "twist", "layout:veb", "layout:bfs",
         }
+
+
+class TestStatelessSpecsRunSoa:
+    """Rule 6: a stateless spec without SoA-native work (PC) runs the
+    SoA engine's node-block mode, in preorder, under every schedule."""
+
+    @pytest.mark.parametrize("schedule", ["original", "twist"])
+    def test_pc_picks_soa_in_preorder(self, schedule):
+        from repro.bench.workloads import make_pc
+
+        choice = choose_backend(make_pc(512).make_spec(), schedule)
+        assert (choice.backend, choice.order) == ("soa", "preorder")
+        assert "node-block" in choice.reason
+
+    def test_known_backends_no_longer_list_batched(self):
+        assert backend_select.KNOWN_BACKENDS == (
+            "recursive", "soa", "compiled", "parallel",
+        )
+        with pytest.raises(ScheduleError, match="'soa'"):
+            resolve_backend_choice(make_tj(64).make_spec(), "twist", "batched")
 
 
 class TestScheduleNameContract:

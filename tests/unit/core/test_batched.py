@@ -1,13 +1,18 @@
-"""Parity and unit tests for the frontier-batched executors.
+"""Parity and unit tests for node-block dispatch (:mod:`repro.core.batched`).
 
-The batched engine's contract is *bit-identical observability*: for
-every schedule configuration, the instrument event stream (ops,
-accesses, work points, in order) and the computed results must match
-the recursive executors exactly.  These tests enforce the contract on
-all six annotated benchmarks (plus KDE, whose ``Score`` has a
-productive side effect) and exercise the dispatcher machinery
-directly.
+The SoA executors defer node pairs into a
+:class:`~repro.core.batched.BatchDispatcher` — their ``nodes`` mode —
+for every spec without a SoA-native kernel.  The contract is
+*bit-identical observability*: for every schedule configuration, the
+instrument event stream (ops, accesses, work points, in order) and the
+computed results must match the recursive executors exactly.  These
+tests enforce it on all six annotated benchmarks (plus KDE, whose
+``Score`` has a productive side effect) with each spec's
+``work_batch_soa`` stripped, so TJ and MM dispatch their ``work_batch``
+node blocks too, and exercise the dispatcher machinery directly.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +20,11 @@ import pytest
 from repro.core import (
     NestedRecursionSpec,
     run_interchanged,
-    run_interchanged_batched,
+    run_interchanged_soa,
     run_original,
-    run_original_batched,
+    run_original_soa,
     run_twisted,
-    run_twisted_batched,
+    run_twisted_soa,
 )
 from repro.core.batched import DEFAULT_BATCH_SIZE, BatchDispatcher
 from repro.core.instruments import Instrument
@@ -44,23 +49,37 @@ class EventRecorder(Instrument):
         self.events.append(("work", o.number, i.number))
 
 
-#: (label, recursive runner, batched runner, kwargs) for every
+def node_block(run):
+    """``run`` on the spec minus its SoA-native kernel: soa's nodes mode."""
+
+    def run_nodes(spec, instrument=None, **kwargs):
+        run(replace(spec, work_batch_soa=None), instrument, **kwargs)
+
+    return run_nodes
+
+
+#: (label, recursive runner, node-block runner, kwargs) for every
 #: schedule configuration under test.
 VARIANTS = [
-    ("original", run_original, run_original_batched, {}),
-    ("interchange", run_interchanged, run_interchanged_batched, {}),
+    ("original", run_original, node_block(run_original_soa), {}),
+    ("interchange", run_interchanged, node_block(run_interchanged_soa), {}),
     (
         "interchange+counters+subtree",
         run_interchanged,
-        run_interchanged_batched,
+        node_block(run_interchanged_soa),
         {"use_counters": True, "subtree_truncation": True},
     ),
-    ("twist", run_twisted, run_twisted_batched, {}),
-    ("twist+counters", run_twisted, run_twisted_batched, {"use_counters": True}),
+    ("twist", run_twisted, node_block(run_twisted_soa), {}),
+    (
+        "twist+counters",
+        run_twisted,
+        node_block(run_twisted_soa),
+        {"use_counters": True},
+    ),
     (
         "twist(cutoff=16)-subtree",
         run_twisted,
-        run_twisted_batched,
+        node_block(run_twisted_soa),
         {"cutoff": 16, "subtree_truncation": False},
     ),
 ]
@@ -117,7 +136,7 @@ CASES = make_cases()
 )
 def test_instrumented_parity(case, variant):
     """Events and results are bit-identical to the recursive executor."""
-    _label, recursive_run, batched_run, kwargs = variant
+    _label, recursive_run, node_block_run, kwargs = variant
 
     spec = case.make_spec()
     recorder = EventRecorder()
@@ -126,7 +145,7 @@ def test_instrumented_parity(case, variant):
 
     spec = case.make_spec()
     recorder = EventRecorder()
-    batched_run(spec, recorder, **kwargs)
+    node_block_run(spec, recorder, **kwargs)
 
     assert recorder.events == recursive_events
     assert repr(case.result()) == repr(recursive_result)
@@ -139,14 +158,14 @@ def test_instrumented_parity(case, variant):
 def test_uninstrumented_parity(case, variant):
     """The bulk/block fast paths (only reachable uninstrumented)
     produce bit-identical results."""
-    _label, recursive_run, batched_run, kwargs = variant
+    _label, recursive_run, node_block_run, kwargs = variant
 
     spec = case.make_spec()
     recursive_run(spec, None, **kwargs)
     recursive_result = case.result()
 
     spec = case.make_spec()
-    batched_run(spec, None, **kwargs)
+    node_block_run(spec, None, **kwargs)
 
     assert repr(case.result()) == repr(recursive_result)
 
@@ -161,7 +180,7 @@ def test_batch_size_invariance(batch_size):
     run_original(spec, None)
     expected = case.result()
     spec = case.make_spec()
-    run_original_batched(spec, None, batch_size=batch_size)
+    run_original_soa(spec, None, batch_size=batch_size)
     assert case.result() == expected
 
 
@@ -278,8 +297,8 @@ class TestBlockTruncation:
                 table[o.number] = rng.random(31) < 0.4
             return table[o.number]
 
-        spec, batched_points = self._spec_pair(decisions)
-        run_original_batched(spec, None)
+        spec, block_points = self._spec_pair(decisions)
+        run_original_soa(spec, None)
 
         reference = []
         reference_spec = NestedRecursionSpec(
@@ -289,7 +308,7 @@ class TestBlockTruncation:
             truncate_inner2=spec.truncate_inner2,
         )
         run_original(reference_spec, None)
-        assert batched_points == reference
+        assert block_points == reference
 
     def test_uniform_true_skips_everything(self):
         spec, points = self._spec_pair(lambda o: np.ones(31, dtype=bool))
@@ -301,7 +320,7 @@ class TestBlockTruncation:
             truncate_inner2=lambda o, i: True,
             truncate_inner2_batch=lambda o: True,
         )
-        run_original_batched(spec, None)
+        run_original_soa(spec, None)
         assert points == []
 
     def test_none_falls_back_to_scalar_predicate(self):
@@ -314,28 +333,39 @@ class TestBlockTruncation:
             truncate_inner2=lambda o, i: bool(calls.append(1)) or False,
             truncate_inner2_batch=lambda o: None,
         )
-        run_original_batched(spec, None)
+        run_original_soa(spec, None)
         assert len(points) == 49
         assert len(calls) == 49  # scalar predicate evaluated per pair
 
 
 class TestScheduleBackends:
-    def test_all_named_schedules_offer_batched_backend(self):
+    def test_all_named_schedules_run_node_blocks_on_soa(self):
         from repro.kernels import TreeJoin
 
         for name in sorted(BY_NAME) + ["twist(cutoff=4)"]:
             tj = TreeJoin(31, 31)
-            spec = tj.make_spec()
-            get_schedule(name).run(spec, backend="batched")
+            spec = replace(tj.make_spec(), work_batch_soa=None)
+            get_schedule(name).run(spec, backend="soa")
             assert tj.result == tj.expected_total(), name
+
+    def test_batched_backend_name_is_refused(self):
+        """The linked-node engine is gone: its name is unknown, and the
+        refusal lists the backends that exist."""
+        from repro.kernels import TreeJoin
+
+        for name in sorted(BY_NAME) + ["twist(cutoff=4)"]:
+            with pytest.raises(ScheduleError, match="known: .*'soa'"):
+                get_schedule(name).run(
+                    TreeJoin(31, 31).make_spec(), backend="batched"
+                )
 
     def test_backends_agree_under_instrumentation(self):
         schedule = twist_with_cutoff(8)
         spec = NestedRecursionSpec(balanced_tree(31), balanced_tree(31))
-        recursive, batched = EventRecorder(), EventRecorder()
+        recursive, soa = EventRecorder(), EventRecorder()
         schedule.run(spec, instrument=recursive, backend="recursive")
-        schedule.run(spec, instrument=batched, backend="batched")
-        assert recursive.events == batched.events
+        schedule.run(spec, instrument=soa, backend="soa")
+        assert recursive.events == soa.events
 
     def test_unknown_backend_rejected(self):
         spec = NestedRecursionSpec(balanced_tree(3), balanced_tree(3))

@@ -1,6 +1,8 @@
-"""Unit tests for the explicit-stack (batched) original and interchanged
+"""Unit tests for the explicit-stack (SoA) original and interchanged
 executors: event parity with the recursive ones, and depth beyond any
 recursion limit."""
+
+import sys
 
 from repro.core import (
     AccessTraceRecorder,
@@ -9,9 +11,9 @@ from repro.core import (
     WorkRecorder,
     combine,
     run_interchanged,
-    run_interchanged_batched,
+    run_interchanged_soa,
     run_original,
-    run_original_batched,
+    run_original_soa,
 )
 from repro.spaces import balanced_tree, list_tree, paper_inner_tree, paper_outer_tree
 
@@ -20,11 +22,11 @@ def paper_spec(**kwargs):
     return NestedRecursionSpec(paper_outer_tree(), paper_inner_tree(), **kwargs)
 
 
-def batched_points(spec):
-    """``(outer, inner)`` labels in the order the batched work ran."""
+def iterative_points(spec):
+    """``(outer, inner)`` labels in the order the explicit-stack work ran."""
     points = []
     spec.work = lambda o, i: points.append((o.label, i.label))
-    run_original_batched(spec)
+    run_original_soa(spec)
     return points
 
 
@@ -34,7 +36,7 @@ class TestOriginalIterative:
         recursive = (WorkRecorder(), AccessTraceRecorder(), OpCounter())
         iterative = (WorkRecorder(), AccessTraceRecorder(), OpCounter())
         run_original(spec, instrument=combine(*recursive))
-        run_original_batched(spec, instrument=combine(*iterative))
+        run_original_soa(spec, instrument=combine(*iterative))
         assert recursive[0].points == iterative[0].points
         assert recursive[1].trace == iterative[1].trace
         assert recursive[2].counts == iterative[2].counts
@@ -44,15 +46,17 @@ class TestOriginalIterative:
         # raised limit in reasonable memory.
         spec = NestedRecursionSpec(list_tree(50_000), list_tree(1))
         ops = OpCounter()
-        run_original_batched(spec, instrument=ops)
+        limit = sys.getrecursionlimit()
+        run_original_soa(spec, instrument=ops)
         assert ops.work_points == 50_000
+        assert sys.getrecursionlimit() == limit
 
     def test_work_called(self):
         total = []
         spec = NestedRecursionSpec(
             balanced_tree(3), balanced_tree(3), work=lambda o, i: total.append(1)
         )
-        run_original_batched(spec)
+        run_original_soa(spec)
         assert len(total) == 9
 
 
@@ -61,11 +65,11 @@ class TestIterPoints:
         spec = paper_spec()
         recorder = WorkRecorder()
         run_original(spec, instrument=recorder)
-        assert batched_points(spec) == recorder.points
+        assert iterative_points(spec) == recorder.points
 
     def test_respects_irregular_truncation(self):
         spec = paper_spec(truncate_inner2=lambda o, i: o.label == "B" and i.label == 2)
-        assert len(batched_points(spec)) == 46
+        assert len(iterative_points(spec)) == 46
 
 
 class TestInterchangedIterative:
@@ -73,5 +77,5 @@ class TestInterchangedIterative:
         spec = paper_spec()
         recursive, iterative = WorkRecorder(), WorkRecorder()
         run_interchanged(spec, instrument=recursive)
-        run_interchanged_batched(spec, instrument=iterative)
+        run_interchanged_soa(spec, instrument=iterative)
         assert recursive.points == iterative.points

@@ -146,7 +146,7 @@ class TestSingleNodeViewSemantics:
         run_original(spec)
         sequential = pc.result
 
-        for backend in ("recursive", "batched"):
+        for backend in ("recursive", "soa"):
             spec = pc.make_spec()
             run_task_parallel(
                 spec, num_workers=4, spawn_depth=3, backend=backend

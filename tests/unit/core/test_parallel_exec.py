@@ -216,17 +216,15 @@ class TestScheduleRunParallel:
     def test_run_task_parallel_real_engine_round_trip(self):
         tj = TreeJoin(63, 63)
         expected = tj.expected_total()
-        report = run_task_parallel(
-            tj.make_spec(), num_workers=2, spawn_depth=2, engine="thread"
+        report = run_parallel(
+            tj.make_spec(), engine="thread", max_workers=2, spawn_depth=2
         )
         assert isinstance(report, ParallelExecReport)
         assert tj.result == expected
 
     def test_simulated_engine_unchanged(self):
         spec = NestedRecursionSpec(paper_outer_tree(), paper_inner_tree())
-        report = run_task_parallel(
-            spec, num_workers=2, spawn_depth=2, engine="simulated"
-        )
+        report = run_task_parallel(spec, num_workers=2, spawn_depth=2)
         # The historical modeled-cycle report, bit for bit.
         assert report.total_cycles == 49
         assert not isinstance(report, ParallelExecReport)
@@ -323,7 +321,7 @@ class TestTaskBackendResolution:
         return threads
 
     @pytest.mark.parametrize(
-        "name,pick", [("PC", "batched"), ("NN", "soa")]
+        "name,pick", [("PC", "soa"), ("NN", "soa")]
     )
     def test_thread_engine_selects_only_in_the_calling_thread(
         self, selections, name, pick
@@ -355,7 +353,7 @@ class TestTaskBackendResolution:
         case = make_pc(512)
         expected = serial_result(case)
         report = run_parallel(case.make_spec(), engine="process", max_workers=2)
-        assert report.task_backend == "batched"
+        assert report.task_backend == "soa"
         assert repr(case.result()) == expected
 
     def test_compiled_pick_runs_views_on_soa_in_the_picked_order(

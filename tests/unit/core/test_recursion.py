@@ -61,7 +61,7 @@ class TestSafeDepthCeiling:
 
     def test_guard_refuses_past_ceiling(self):
         before = sys.getrecursionlimit()
-        with pytest.raises(ScheduleError, match="batched"):
+        with pytest.raises(ScheduleError, match="soa_exec"):
             with recursion_guard(list_tree(5000), list_tree(5000)):
                 pass  # pragma: no cover - never entered
         assert sys.getrecursionlimit() == before
@@ -83,7 +83,7 @@ class TestSafeDepthCeiling:
 class TestDeepTreeRouting:
     """Regression: deep (list-shaped) trees used to die with
     RecursionError (or worse, a C-stack crash) inside the recursive
-    executors; they now route through the explicit-stack batched
+    executors; they now route through the explicit-stack SoA
     executors and produce the same results."""
 
     @staticmethod
@@ -114,8 +114,8 @@ class TestDeepTreeRouting:
     def test_deep_routing_matches_shallow_semantics(self):
         # The same spec shape below the ceiling, run recursively,
         # produces the same work sequence the routed executor yields at
-        # depth: compare against the batched executor directly.
-        from repro.core import run_original_batched
+        # depth: compare against the SoA executor directly.
+        from repro.core import run_original_soa
 
         deep, routed = [], []
         spec = self._deep_spec(deep)
@@ -125,5 +125,5 @@ class TestDeepTreeRouting:
             inner_root=spec.inner_root,
             work=lambda o, i: routed.append((o.number, i.number)),
         )
-        run_original_batched(spec)
+        run_original_soa(spec)
         assert deep == routed

@@ -33,7 +33,7 @@ from repro.spaces.trees import balanced_tree
 def make_factory(bug="none", nodes=63):
     """Fresh-spec factory plus payload probe, with an optional seeded bug.
 
-    ``double`` scales every batched contribution by two; ``drop``
+    ``double`` scales every block contribution by two; ``drop``
     silently discards the last pair of each block.  Both conform
     structurally (same fields read and written, per-pair replay loops)
     so only the shadow execution can catch them.
@@ -126,7 +126,7 @@ def make_masked_factory(drop_mask=False, nodes=63):
 
 class TestLockstepChecker:
     CONTEXT = dict(
-        spec_name="unit", backend="batched", schedule="original", kernels=[]
+        spec_name="unit", backend="soa", schedule="original", kernels=[]
     )
 
     def test_matching_stream_passes(self):
@@ -147,7 +147,7 @@ class TestLockstepChecker:
         assert err.index == 0
         assert err.expected == ("op", "call")
         assert err.actual == ("op", "trunc_check")
-        assert err.spec_name == "unit" and err.backend == "batched"
+        assert err.spec_name == "unit" and err.backend == "soa"
 
     def test_extra_event_beyond_recording_raises(self):
         checker = LockstepChecker([], **self.CONTEXT)
@@ -176,9 +176,9 @@ class TestLockstepChecker:
 class TestRunSanitized:
     def test_conforming_spec_passes_all_phases(self):
         factory, probe = make_factory("none")
-        report = run_sanitized(factory, "original", backend="batched", probe=probe)
+        report = run_sanitized(factory, "original", backend="soa", probe=probe)
         assert isinstance(report, SanitizeReport)
-        assert report.backend == "batched"
+        assert report.backend == "soa"
         assert report.phases == ["record", "lockstep", "fast-path"]
         assert report.events > 0
         assert report.engaged["work_batch"]
@@ -197,7 +197,7 @@ class TestRunSanitized:
     def test_doubled_contribution_diverges_in_payload(self):
         factory, probe = make_factory("double")
         with pytest.raises(SanitizeDivergence) as excinfo:
-            run_sanitized(factory, "original", backend="batched", probe=probe)
+            run_sanitized(factory, "original", backend="soa", probe=probe)
         err = excinfo.value
         assert err.phase == "payload"
         assert err.expected != err.actual
@@ -206,12 +206,12 @@ class TestRunSanitized:
     def test_dropped_pair_diverges_in_payload(self):
         factory, probe = make_factory("drop")
         with pytest.raises(SanitizeDivergence) as excinfo:
-            run_sanitized(factory, "original", backend="batched", probe=probe)
+            run_sanitized(factory, "original", backend="soa", probe=probe)
         assert excinfo.value.phase == "payload"
 
     def test_faithful_block_guard_passes_with_truncation_engaged(self):
         factory, probe = make_masked_factory(drop_mask=False)
-        report = run_sanitized(factory, "original", backend="batched", probe=probe)
+        report = run_sanitized(factory, "original", backend="soa", probe=probe)
         assert report.phases == ["record", "lockstep", "fast-path"]
         assert report.engaged["block_truncation"]
 
@@ -221,7 +221,7 @@ class TestRunSanitized:
         be caught by the uninstrumented fast-path payload check."""
         factory, probe = make_masked_factory(drop_mask=True)
         with pytest.raises(SanitizeDivergence) as excinfo:
-            run_sanitized(factory, "original", backend="batched", probe=probe)
+            run_sanitized(factory, "original", backend="soa", probe=probe)
         err = excinfo.value
         assert err.phase == "payload"
         assert "fast-path" in str(err)
@@ -236,7 +236,7 @@ class TestRunSanitized:
 
     def test_without_probe_payload_is_skipped(self):
         factory, _probe = make_factory("none")
-        report = run_sanitized(factory, "original", backend="batched")
+        report = run_sanitized(factory, "original", backend="soa")
         assert report.phases == ["record", "lockstep"]
         assert report.payload is None
 
@@ -300,7 +300,7 @@ class TestSanitizeSweep:
 
         sweep = run_sanitize_sweep(scale=0.02, benchmarks=("TJ",))
         assert sweep.ok
-        assert len(sweep.runs) == 4  # 2 schedules x 2 backends
+        assert len(sweep.runs) == 2  # 2 schedules x the soa backend
         assert all(run["spec"].startswith("TJ") for run in sweep.runs)
         text = sweep.render()
         assert "0 divergence(s)" in text

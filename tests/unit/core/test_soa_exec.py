@@ -1,6 +1,6 @@
-"""Parity and unit tests for the SoA index-based executors.
+"""Parity and unit tests for the SoA explicit-stack executors.
 
-Same contract as the batched suite (``test_batched.py``): for every
+Same contract as the node-block suite (``test_batched.py``): for every
 schedule configuration the instrument event stream and the computed
 results must be bit-identical to the recursive executors — on top of
 which the SoA engine must be *layout-independent* (every storage
@@ -353,11 +353,12 @@ class TestChooseBackend:
         # The refusing analyzer's codes land in the evidence trail.
         assert "TW208" in choice.evidence
 
-    def test_stateless_irregular_defaults_to_batched(self):
+    def test_stateless_irregular_defaults_to_soa(self):
         from repro.bench.workloads import make_pc
 
         choice = choose_backend(make_pc(512).make_spec())
-        assert choice.backend == "batched"
+        assert choice.backend == "soa"
+        assert choice.order == "preorder"
         assert choice.features["truncation_density"] is not None
 
     def test_probe_never_calls_work_or_stateful_predicates(self):

@@ -66,9 +66,9 @@ class TestCountBatchRobustness:
             assert np.array_equal(counts, oracle), leaf_size
 
     def test_scalar_and_block_score_agree(self, reference_tree):
-        batched = run_count(QUERIES, reference_tree, backend="batched")
+        block = run_count(QUERIES, reference_tree, backend="soa")
         recursive = run_count(QUERIES, reference_tree, backend="recursive")
-        assert np.array_equal(batched, recursive)
+        assert np.array_equal(block, recursive)
 
     def test_negative_radius_rejected(self, reference_tree):
         query_tree = build_kdtree(np.array(QUERIES, copy=True), 16)

@@ -110,14 +110,14 @@ class TestReadmeQuickstart:
         assert cache.hierarchy.stats_by_name()["L1"].accesses > 0
 
     def test_batched_backend_snippet_runs(self):
-        # The code from README.md's "Batched execution backend" section
+        # The code from README.md's "Explicit-stack execution" section
         # (smaller trees to keep the suite fast).
         from repro.core import OpCounter, get_schedule
         from repro.kernels import TreeJoin
 
         tj = TreeJoin(127, 127)
-        recursive, batched = OpCounter(), OpCounter()
+        recursive, soa = OpCounter(), OpCounter()
         get_schedule("twist").run(tj.make_spec(), recursive)
-        get_schedule("twist").run(tj.make_spec(), batched, backend="batched")
-        assert batched.counts == recursive.counts
-        assert batched.work_points == recursive.work_points
+        get_schedule("twist").run(tj.make_spec(), soa, backend="soa")
+        assert soa.counts == recursive.counts
+        assert soa.work_points == recursive.work_points

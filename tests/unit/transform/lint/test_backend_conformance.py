@@ -275,15 +275,16 @@ class TestMutationHarness:
 class TestAutoRefusal:
     def test_auto_never_selects_an_unsafe_backend(self):
         """An unsafe work_batch on a space large enough for the
-        structural probe to want 'batched' gets refused."""
+        structural probe to want soa's node-block mode gets refused:
+        that mode inherits the ``batched`` dispatch verdict."""
         from repro.core.backend_select import choose_backend
 
         big = balanced_tree(127, data=float)
         spec = make_spec_large_unsafe(big)
         choice = choose_backend(spec)
         verdicts = lint_spec(spec).backends
-        assert verdicts["batched"] == "unsafe"
-        assert choice.backend != "batched"
+        assert verdicts["batched"] == verdicts["soa"] == "unsafe"
+        assert choice.backend == "recursive"
         assert "conformance" in choice.reason
 
     def test_allow_unproven_restores_structural_choice(self):
@@ -293,7 +294,7 @@ class TestAutoRefusal:
         spec = make_spec_large_unsafe(big)
         refused = choose_backend(spec)
         structural = choose_backend(spec, allow_unproven=True)
-        assert structural.backend == "batched"
+        assert structural.backend == "soa"
         assert refused.backend != structural.backend
 
     def test_safe_specs_keep_their_structural_choice(self):
@@ -301,17 +302,19 @@ class TestAutoRefusal:
         from repro.core.backend_select import choose_backend
 
         choice = choose_backend(make_pc(512).make_spec())
-        assert choice.backend == "batched"
+        assert choice.backend == "soa"
 
     def test_monkeypatched_unsafe_soa_downgrades(self, force_conformance):
         """Verdict wiring, isolated from the analyzer: force 'soa'
-        unsafe and watch the selector reroute to a proven backend."""
+        unsafe and watch the selector reroute to the reference
+        executors — a safe ``batched`` verdict names no pickable
+        backend."""
         from repro.bench.workloads import make_tj
         from repro.core import backend_select
 
         force_conformance(batched="safe", soa="unsafe")
         choice = backend_select.choose_backend(make_tj(200).make_spec())
-        assert choice.backend == "batched"
+        assert choice.backend == "recursive"
         assert "unsafe" in choice.reason
 
     def test_verdict_lookup_failure_is_not_fatal(self):
